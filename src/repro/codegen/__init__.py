@@ -5,9 +5,7 @@ the readable per-node library measured by the potency metrics
 (:func:`generate_module`), and the specializing compiler's straight-line
 form (``specialize=True`` / :mod:`.specializer`) used as the native-speed
 codec tier — byte- and error-identical, several times faster.  Loaded
-modules are shared per dialect fingerprint through :mod:`.cache`, and
-:mod:`.native` optionally compiles the emitted source with mypyc/Cython when
-such a toolchain happens to be installed.
+modules are shared per dialect fingerprint through :mod:`.cache`.
 """
 
 from .cache import (
@@ -26,7 +24,6 @@ from .loader import (
     write_module,
 )
 from .naming import accessor_suffix, parser_function, sanitize, serializer_function, struct_class
-from .native import available_backends, compile_native, maybe_native, native_enabled
 from .specializer import generate_specialized_module
 
 __all__ = [
@@ -34,20 +31,16 @@ __all__ = [
     "GeneratedCodec",
     "SpecializedCodec",
     "accessor_suffix",
-    "available_backends",
     "cached_module",
     "cached_module_count",
     "check_module_version",
     "clear_module_cache",
-    "compile_native",
     "generate_module",
     "generate_module_from_plan",
     "generate_specialized_module",
     "load_source",
-    "maybe_native",
     "module_cache_stats",
     "module_fingerprint",
-    "native_enabled",
     "parser_function",
     "sanitize",
     "serializer_function",

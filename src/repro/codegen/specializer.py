@@ -168,6 +168,18 @@ class _SpecEmitter:
         self._n += 1
         return f"{prefix}{self._n}"
 
+    def guarded(self, statement: str, error: str) -> None:
+        """Emit ``statement``, raising ``error`` on a raw TypeError/ValueError."""
+        self.w("try:")
+        self.w(f"    {statement}")
+        self.w("except (TypeError, ValueError):")
+        self.w(f"    raise {error} from None")
+
+    def unencodable(self, x: str, kind: str, name: str) -> str:
+        """The emitted twin of the interpreted encoders' ``_unencodable``."""
+        self._needs.add("unenc")
+        return f"_unenc({x}, {kind!r}, {name!r})"
+
     def vvar(self, name: str) -> str:
         """The local variable holding the decoded value of terminal ``name``."""
         return f"v{self.index[name]}"
@@ -981,10 +993,8 @@ class _SpecEmitter:
                 self._s_encode_generic(node, x, size, delim)
                 return
             modulus = 1 << (8 * size)
-            if not steps:
-                self.w(f"{x} = int({x})")
-            else:
-                self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
+            self.guarded(f"{x} = {_fold_int_steps(f'int({x})', steps)}",
+                         self.unencodable(x, "uint", node.name))
             # A chain whose final mask fits the field never overflows it.
             if not steps or steps[-1][2] >= modulus or steps[-1][0] == "xor":
                 self.w(f"if not 0 <= {x} < {modulus}:")
@@ -1005,7 +1015,10 @@ class _SpecEmitter:
                 self.w(f"elif isinstance({x}, bytearray):")
                 self.w(f"    {x} = bytes({x})")
                 self.w(f"elif isinstance({x}, str):")
-                self.w(f"    {x} = {x}.encode('latin-1')")
+                self.ind += 1
+                self.guarded(f"{x} = {x}.encode('latin-1')",
+                             self.unencodable(x, label, node.name))
+                self.ind -= 1
                 self.w("else:")
                 template = f"cannot encode %s as {label}"
                 self.w(f"    raise _E({template!r} % type({x}).__name__)")
@@ -1020,7 +1033,10 @@ class _SpecEmitter:
                 return
             else:
                 self.w(f"if isinstance({x}, str):")
-                self.w(f"    {x} = {x}.encode('latin-1')")
+                self.ind += 1
+                self.guarded(f"{x} = {x}.encode('latin-1')",
+                             self.unencodable(x, label, node.name))
+                self.ind -= 1
                 self.w(f"elif isinstance({x}, (bytes, bytearray)):")
                 self.w(f"    {x} = bytes({x})")
                 self.w("else:")
@@ -1043,11 +1059,11 @@ class _SpecEmitter:
     def _s_encode_generic(self, node: Node, x: str, size: int | None,
                           delim: bytes) -> None:
         """Exotic chains / sizeless uints: defer to the generic preamble path."""
-        self._needs.add("chains")
-        self._needs.add("encval")
+        self._needs.update(("chains", "encval", "unenc"))
         if node.codec_chain:
-            self.w(f"{x} = _chain_apply({x}, {node.value_kind.value!r}, "
-                   f"{_chain_literal(node.codec_chain)})")
+            self.guarded(f"{x} = _chain_apply({x}, {node.value_kind.value!r}, "
+                         f"{_chain_literal(node.codec_chain)})",
+                         self.unencodable(x, node.value_kind.value, node.name))
         self.w(f"out += _enc_value({x}, {node.value_kind.value!r}, {size!r}, "
                f"{node.endian.value!r}, {node.name!r}, {delim!r})")
         if delim:
@@ -1114,10 +1130,8 @@ class _SpecEmitter:
             self.emit_get(x, child.origin, self._sloops)
             self._s_missing(child, x, "terminal")
             steps = _int_steps(child.codec_chain, inverse=False) or []
-            if steps:
-                self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
-            else:
-                self.w(f"{x} = int({x})")
+            self.guarded(f"{x} = {_fold_int_steps(f'int({x})', steps)}",
+                         self.unencodable(x, "uint", child.name))
         self._needs.add("packfail")
         self.w("try:")
         self.w(f"    out += {struct_name}.pack({', '.join(names)})")
@@ -1143,7 +1157,9 @@ class _SpecEmitter:
         s1, s2 = self.var("x"), self.var("x")
         if synthesis.op is SynthesisOp.CAT:
             d = self.var("x")
-            self.w(f"{d} = {x} if isinstance({x}, (bytes, str)) else bytes({x})")
+            unsplittable = f"synthesis node {node.name!r}: cannot split %s value"
+            self.guarded(f"{d} = {x} if isinstance({x}, (bytes, str)) else bytes({x})",
+                         f"_E({unsplittable!r} % type({x}).__name__)")
             cut = self.var("x")
             if node.split_at is None:
                 self.w(f"{cut} = rng.randint(0, len({d}))")
@@ -1156,7 +1172,9 @@ class _SpecEmitter:
                 raise CodegenError(f"synthesis node {node.name!r} carries no width")
             modulus = 1 << (8 * synthesis.width)
             logical = self.var("x")
-            self.w(f"{logical} = int({x}) % {modulus}")
+            unsplittable = f"synthesis node {node.name!r}: cannot split %s value"
+            self.guarded(f"{logical} = int({x}) % {modulus}",
+                         f"_E({unsplittable!r} % type({x}).__name__)")
             self.w(f"{s1} = rng.randrange({modulus})")
             if synthesis.op is SynthesisOp.ADD:
                 self.w(f"{s2} = ({logical} - {s1}) % {modulus}")
@@ -1516,6 +1534,14 @@ def _chain_invert(value, kind, chain):
     for op in reversed(chain):
         value = _chain_step(value, kind, op, True)
     return value""")
+        if "unenc" in needs:
+            chunks.append("""
+
+def _unenc(value, kind, name):
+    if isinstance(value, str) and kind != "uint":
+        return _E("terminal %r: text is not latin-1 encodable" % (name,))
+    return _E("terminal %r: cannot encode %s as %s"
+              % (name, type(value).__name__, kind))""")
         if "encval" in needs:
             chunks.append("""
 
@@ -1523,13 +1549,19 @@ def _enc_value(value, kind, size, endian, name, delimiter):
     if kind == "uint":
         if size is None:
             raise _E("terminal %r: UINT terminals require a fixed size" % (name,))
-        value = int(value)
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise _unenc(value, kind, name) from None
         if not 0 <= value < (1 << (8 * size)):
             raise _E("terminal %r: value %d does not fit in %d byte(s)"
                      % (name, value, size))
         return value.to_bytes(size, endian)
     if isinstance(value, str):
-        data = value.encode("latin-1")
+        try:
+            data = value.encode("latin-1")
+        except UnicodeEncodeError:
+            raise _unenc(value, kind, name) from None
     elif isinstance(value, (bytes, bytearray)):
         data = bytes(value)
     else:

@@ -198,9 +198,10 @@ class FaultPlan:
     def drip(cls, *, seed: int = 0) -> "FaultPlan":
         """Byte-drip schedule: every write dribbles in fixed 1-byte feeds.
 
-        The deterministic slow-loris — no jitter, so the receiver does one
-        decode step per delivered byte; the workload a ``max_steps_per_feed``
-        / idle-read budget pair keeps bounded.
+        The deterministic slow-loris — no jitter, so the receiver makes at
+        most one parse attempt per delivered byte (none until the bytes its
+        last attempt needed have arrived); the workload a
+        ``max_steps_per_feed`` / idle-read budget pair keeps bounded.
         """
         return cls(seed=seed, segment_size=1, jitter=False)
 

@@ -3,7 +3,8 @@
 Two framings move protocol messages across a byte stream:
 
 * **native** — messages ride back-to-back with no envelope; the receiver
-  frames them with the incremental :class:`~repro.wire.streaming.StreamingDecoder`.
+  frames them with :class:`~repro.wire.streaming.StreamingDecoder`, which
+  runs the reference parser over a prefix of the buffered bytes.
   Requires the format graph to be *self-framing*
   (:func:`~repro.wire.streaming.is_self_framing`): its parse must never
   consult the end of the stream.
@@ -166,9 +167,11 @@ class RecordDecoder:
 
     The record-framing counterpart of
     :class:`~repro.wire.streaming.StreamingDecoder`, with the same
-    ``feed()`` / ``feed_eof()`` surface: each completed record's payload is
-    parsed as one whole message (strict), and the reported stream offsets
-    are *payload* offsets so captures and decoders agree on extents.
+    ``feed()`` / ``feed_eof()`` surface: where the stream decoder finds a
+    message's end by parsing, here the length prefix gives it, and each
+    completed record's payload is parsed as one whole message (strict).  The
+    reported stream offsets are *payload* offsets so captures and decoders
+    agree on extents.
 
     With a ``key_resolver`` the decoder additionally understands rotation
     control records (:func:`encode_rotation`): the resolver maps the announced
@@ -440,8 +443,9 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     ``max_record_size`` additionally overrides the record-size ceiling.
     ``parser_factory`` (graph → object with ``parse(payload, strict=True)``)
     swaps whole-record parsing to an alternative codec tier — the specialized
-    compiled modules in practice.  Record framing only: native framing parses
-    incrementally and keeps the interpreted streaming decoder.
+    compiled modules in practice.  Record framing only: native framing finds
+    message ends with the reference parser's prefix parse, which the
+    compiled tier does not offer.
     """
     if framing == "native":
         if key_resolver is not None:

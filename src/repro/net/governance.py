@@ -10,8 +10,7 @@ graceful degradation the resilience study measures:
 * a :class:`ResourceBudget` caps what one session may cost: buffered stream
   bytes, pending decoded messages, declared record/field sizes (validated
   *before* any buffering toward them) and decode work per feed.  The limits
-  are enforced inside :class:`~repro.wire.streaming.StreamSource` /
-  :class:`~repro.wire.streaming.StreamingDecoder`,
+  are enforced inside :class:`~repro.wire.streaming.StreamingDecoder`,
   :class:`~repro.net.framing.RecordDecoder` and the session pumps; every
   violation raises a typed :class:`BudgetExceeded` naming the resource, so
   an overload diagnosis is always attributable to a counter.
@@ -101,7 +100,9 @@ class ResourceBudget:
     #: max *declared* record/field size — validated against the declaration
     #: itself, before a single byte is buffered toward it.
     max_declared_bytes: int | None = 1 << 24
-    #: max messages decoded from one fed chunk (work bound per feed).
+    #: max parse attempts per fed chunk (work bound per feed): each decoded
+    #: message or record counts one, and on a native stream so does each
+    #: attempt that runs out of buffered bytes.
     max_steps_per_feed: int | None = 4096
 
     def __post_init__(self) -> None:

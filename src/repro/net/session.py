@@ -467,8 +467,9 @@ class _Endpoint:
         """The decoder's parser factory for one direction's resolved framing.
 
         Specialized endpoints decode whole record payloads through the
-        compiled tier; native framing parses incrementally and stays on the
-        interpreted streaming decoder, so it gets no factory.
+        compiled tier.  Native framing gets no factory: its stream decoder
+        frames messages with the reference parser's prefix parse, which the
+        compiled tier does not offer.
         """
         if not self.specialize or framing != "record":
             return None

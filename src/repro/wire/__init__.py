@@ -1,4 +1,9 @@
-"""Wire runtime: on-the-fly serialization and parsing of (obfuscated) messages."""
+"""Wire runtime: on-the-fly serialization and parsing of (obfuscated) messages.
+
+One parser serves every decoding path: :class:`Parser` parses whole
+messages, and :class:`StreamingDecoder` frames back-to-back messages off a
+byte stream by running the same parser over a prefix of the buffered bytes.
+"""
 
 from .codec import WireCodec
 from .parser import Parser, parse
@@ -15,12 +20,8 @@ from .plan import (
 from .serializer import Serializer, serialize, serialize_with_spans
 from .spans import FieldSpan, boundaries
 from .streaming import (
-    NEED_MORE,
     DecodedMessage,
     StreamingDecoder,
-    StreamingParser,
-    StreamSource,
-    StreamWindow,
     decode_stream,
     is_self_framing,
     stream_greedy_nodes,
@@ -33,14 +34,10 @@ __all__ = [
     "DecodedMessage",
     "FieldSpan",
     "LengthSlot",
-    "NEED_MORE",
     "Parser",
     "PieceList",
     "Serializer",
-    "StreamSource",
-    "StreamWindow",
     "StreamingDecoder",
-    "StreamingParser",
     "TerminalPlan",
     "Window",
     "WireCodec",

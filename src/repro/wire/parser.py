@@ -72,14 +72,24 @@ class Parser:
         :class:`ParseError`.
         """
         window = Window(bytes(data))
-        context = _ParseContext()
-        self._parse_node(self.graph.root, window, context)
+        message, end = self.parse_prefix(window)
         if strict and not window.at_end():
             raise ParseError(
                 f"{window.remaining()} trailing byte(s) after the message",
-                offset=window.cursor,
+                offset=end,
             )
-        return context.message
+        return message
+
+    def parse_prefix(self, window: Window) -> tuple[Message, int]:
+        """Parse one message starting at ``window.cursor``.
+
+        Returns the message and the window offset one past its last byte;
+        bytes after it are left unread.  The stream decoder frames
+        back-to-back messages through this entry.
+        """
+        context = _ParseContext()
+        self._parse_node(self.graph.root, window, context)
+        return context.message, window.cursor
 
     # -- node dispatch --------------------------------------------------------
 

@@ -204,6 +204,15 @@ def _compile_decode(node: Node) -> Callable[[bytes], Value]:
     return lambda raw: invert(raw.decode("latin-1"))
 
 
+def _unencodable(name: str, value: object, kind: ValueKind) -> SerializationError:
+    """The typed error for a value that ``kind`` cannot carry on the wire."""
+    if isinstance(value, str) and kind is not ValueKind.UINT:
+        return SerializationError(f"terminal {name!r}: text is not latin-1 encodable")
+    return SerializationError(
+        f"terminal {name!r}: cannot encode {type(value).__name__} as {kind.value}"
+    )
+
+
 def _compile_encode(node: Node) -> Callable[[object], bytes]:
     kind = node.value_kind
     assert kind is not None
@@ -225,7 +234,10 @@ def _compile_encode(node: Node) -> Callable[[object], bytes]:
         byteorder = endian.value
 
         def encode_uint_fast(value: object) -> bytes:
-            integer = int(value)  # type: ignore[arg-type]
+            try:
+                integer = int(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise _unencodable(name, value, kind) from None
             if not 0 <= integer < modulus:
                 raise SerializationError(
                     f"terminal {name!r}: value {integer} does not fit in {size} byte(s)"
@@ -239,7 +251,10 @@ def _compile_encode(node: Node) -> Callable[[object], bytes]:
 
         def encode_data_fast(value: object) -> bytes:
             if isinstance(value, str):
-                data = value.encode("latin-1")
+                try:
+                    data = value.encode("latin-1")
+                except UnicodeEncodeError:
+                    raise _unencodable(name, value, kind) from None
             elif isinstance(value, (bytes, bytearray)):
                 data = bytes(value)
             else:
@@ -261,10 +276,14 @@ def _compile_encode(node: Node) -> Callable[[object], bytes]:
         return encode_data_fast
 
     def encode(value: object) -> bytes:
-        if apply_ops is not None:
-            value = apply_ops(value)  # type: ignore[arg-type]
         try:
-            encoded = encode_value(value, kind, size=size, endian=endian)  # type: ignore[arg-type]
+            wire = value if apply_ops is None else apply_ops(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise _unencodable(name, value, kind) from None
+        try:
+            encoded = encode_value(wire, kind, size=size, endian=endian)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise _unencodable(name, value, kind) from None
         except SerializationError as exc:
             raise SerializationError(f"terminal {name!r}: {exc}") from exc
         if delimiter and delimiter in encoded:

@@ -257,7 +257,12 @@ class Serializer:
                 f"logical message is missing field {ctx.resolve(node.origin)} "
                 f"(synthesis node {node.name!r})"
             )
-        shares = list(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
+        try:
+            shares = list(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
+        except (TypeError, ValueError):
+            raise SerializationError(
+                f"synthesis node {node.name!r}: cannot split {type(value).__name__} value"
+            ) from None
         for child in node.children:
             if child.name in ctx.plan.length_slots:
                 # Derived length prefix created by SplitCat on a variable-size

@@ -1,27 +1,19 @@
-"""Incremental, resumable wire decoding over byte streams.
+"""Framing of back-to-back wire messages off a byte stream.
 
 The whole-message :class:`~repro.wire.parser.Parser` assumes the complete
-message sits in one buffer.  On a live transport that assumption never holds:
-bytes arrive in arbitrary chunks, several messages ride back-to-back on one
-TCP stream, and the decoder must say *"I need more bytes"* without losing the
-parse state it has already built.
-
-This module provides that incremental variant.  The recursive descent of the
-parser is re-expressed as a suspendable generator machine:
-
-* a :class:`StreamSource` accumulates fed chunks (with an absolute offset
-  base, so consumed prefixes can be released),
-* a :class:`StreamWindow` is the streaming counterpart of
-  :class:`~repro.wire.window.Window`; every primitive read is a generator
-  that yields :data:`NEED_MORE` until the source holds enough bytes (or EOF
-  resolves the wait),
-* :class:`StreamingParser` mirrors the parser's node dispatch exactly —
-  same plan-compiled codecs, same reference resolution, same optional /
-  repetition / synthesis / mirror semantics — but suspended mid-node when
-  the stream runs dry,
-* :class:`StreamingDecoder` drives the machine: ``feed()`` returns every
-  newly completed message, ``feed_eof()`` flushes the tail, and back-to-back
-  messages on one stream are framed without any outer envelope.
+message sits in one buffer.  On a live transport bytes arrive in arbitrary
+chunks, and several messages ride back-to-back on one TCP stream with no
+envelope between them.  :class:`StreamingDecoder` frames them with that same
+parser, not a second one: it runs :meth:`Parser.parse_prefix` over the bytes
+buffered from the current message's start, through an :class:`_OpenWindow`
+whose end is the end of what has arrived so far.  Where a closed
+:class:`~repro.wire.window.Window` would fail (or answer) at that end, the
+open window raises :class:`_Truncated` with the offset the parse needs; the
+decoder keeps the bytes and tries again once that offset is buffered (for a
+delimiter search, once the delimiter has arrived).  At
+end-of-stream the rest is parsed with ordinary closed windows, so a message
+cut short fails with exactly the error ``Parser.parse`` reports for its
+bytes.
 
 Framing caveat — *greedy* graphs.  A graph whose parse consults the end of
 the enclosing window at the top level (an END-bounded terminal such as the
@@ -35,6 +27,7 @@ record framing when a graph is not self-framing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from ..core.boundary import BoundaryKind
@@ -42,514 +35,86 @@ from ..core.errors import BudgetExceeded, ParseError, StreamError
 from ..core.graph import FormatGraph
 from ..core.message import Message
 from ..core.node import Node, NodeType
-from ..core.values import Value
-from .parser import _ParseContext
-from .plan import CodecPlan, plan_for
-
-#: Sentinel yielded by the parse machine when the source holds too few bytes.
-NEED_MORE = object()
+from .parser import Parser
+from .plan import CodecPlan
+from .window import Window
 
 
-# ---------------------------------------------------------------------------
-# the byte source
-# ---------------------------------------------------------------------------
+#: ``_Truncated.need`` of a read that only end-of-stream can satisfy.
+_AT_EOF = sys.maxsize
 
 
-class StreamSource:
-    """An append-only byte accumulator with an absolute offset base.
+class _Truncated(Exception):
+    """A stream parse ran into the end of the bytes buffered so far.
 
-    All offsets handed out by the source (and by the windows over it) are
-    *absolute stream offsets*: :meth:`release` drops an already-consumed
-    prefix without renumbering anything, which keeps memory bounded on
-    long-lived sessions.
-
-    ``limit`` caps the bytes *held* at any moment: a feed that would grow
-    the retained storage past it raises a typed
-    :class:`~repro.core.errors.BudgetExceeded` before buffering anything.
-    ``last_wait`` is maintained by the windows: the smallest absolute offset
-    a suspended parse can still re-read, i.e. the safe release point while a
-    message is incomplete.
+    Deliberately not a :class:`ParseError`: the parser re-wraps the
+    ParseErrors of terminal reads, and this signal must reach the decoder
+    untouched.
     """
 
-    __slots__ = ("_buffer", "_base", "_eof", "limit", "last_wait")
-
-    def __init__(self, data: bytes = b"", *, eof: bool = False,
-                 limit: int | None = None):
-        self._buffer = bytearray(data)
-        self._base = 0
-        self._eof = eof
-        self.limit = limit
-        self.last_wait = 0
-
-    @classmethod
-    def of(cls, data: bytes) -> "StreamSource":
-        """A complete in-memory source (used for mirrored region re-parses)."""
-        return cls(data, eof=True)
-
-    @property
-    def length(self) -> int:
-        """Absolute offset one past the last byte received so far."""
-        return self._base + len(self._buffer)
-
-    @property
-    def base(self) -> int:
-        """Absolute offset of the first byte still held."""
-        return self._base
-
-    @property
-    def eof(self) -> bool:
-        return self._eof
-
-    def feed(self, data: bytes) -> None:
-        if self._eof:
-            raise StreamError("cannot feed bytes after end-of-stream")
-        if self.limit is not None and len(self._buffer) + len(data) > self.limit:
-            raise BudgetExceeded(
-                "stream_bytes", limit=self.limit,
-                actual=len(self._buffer) + len(data),
-            )
-        self._buffer += data
-
-    def feed_eof(self) -> None:
-        self._eof = True
-
-    def buffered_bytes(self) -> int:
-        """Bytes *held* in storage right now (received minus released)."""
-        return len(self._buffer)
-
-    def release(self, upto: int) -> None:
-        """Drop the bytes before absolute offset ``upto`` (already consumed)."""
-        if upto <= self._base:
-            return
-        del self._buffer[: upto - self._base]
-        self._base = upto
-
-    # -- reads (absolute offsets) --------------------------------------------
-
-    def slice(self, start: int, end: int) -> bytes:
-        return bytes(self._buffer[start - self._base : end - self._base])
-
-    def find(self, sub: bytes, start: int, end: int) -> int:
-        position = self._buffer.find(sub, start - self._base, end - self._base)
-        return position if position < 0 else position + self._base
-
-    def startswith(self, prefix: bytes, start: int, end: int) -> bool:
-        return self._buffer.startswith(prefix, start - self._base, end - self._base)
+    def __init__(self, need: int, declared: int | None = None,
+                 delimiter: bytes | None = None, scan_from: int = 0):
+        super().__init__(need)
+        #: window offset one past the last byte the parse needs next.
+        self.need = need
+        #: byte count of the counted read that ran short (``None`` for a
+        #: delimiter search, an end-of-window check or an END-bounded read).
+        self.declared = declared
+        #: delimiter the parse searched for, and the first offset at which
+        #: a later byte could complete it: a re-try before it appears there
+        #: would stop at the same search.
+        self.delimiter = delimiter
+        self.scan_from = scan_from
 
 
-# ---------------------------------------------------------------------------
-# the suspendable window
-# ---------------------------------------------------------------------------
+class _OpenWindow(Window):
+    """The top window of a stream parse: it ends where the received bytes end.
 
-
-class StreamWindow:
-    """A cursor over a :class:`StreamSource`, possibly with an open end.
-
-    The streaming counterpart of :class:`~repro.wire.window.Window`: a
-    bounded window (``end`` given) behaves identically once the bytes have
-    arrived; an *unbounded* window (``end=None``) extends to the — as yet
-    unknown — end of the stream.  Every consuming primitive is a generator
-    yielding :data:`NEED_MORE` while the source holds too few bytes; waits
-    resolve as soon as the bytes arrive or EOF makes the answer definite.
+    Every primitive whose closed-window answer depends on the window's end
+    raises :class:`_Truncated` there instead, because the stream may still
+    extend past it.  Sub-windows and mirrored regions are closed windows:
+    they are only cut once all their bytes have arrived.
     """
 
-    __slots__ = ("source", "cursor", "end")
+    __slots__ = ()
 
-    def __init__(self, source: StreamSource, start: int, end: int | None):
-        self.source = source
-        self.cursor = start
-        self.end = end
+    def at_end(self) -> bool:
+        if self._cursor >= self._end:
+            raise _Truncated(self._cursor + 1)
+        return False
 
-    # -- synchronous inspection ----------------------------------------------
+    def starts_with(self, prefix: bytes) -> bool:
+        need = self._cursor + len(prefix)
+        if need > self._end:
+            raise _Truncated(need)
+        return Window.starts_with(self, prefix)
 
-    def bounded_at_end(self) -> bool:
-        """End check of a bounded window (callers guarantee ``end`` is set)."""
-        return self.cursor >= self.end  # type: ignore[operator]
+    def read(self, count: int) -> bytes:
+        need = self._cursor + count
+        if need > self._end:
+            raise _Truncated(need, count)
+        return Window.read(self, count)
 
-    def bounded_remaining(self) -> int:
-        return (self.end or 0) - self.cursor
+    def read_rest(self) -> bytes:
+        # An END boundary on the stream itself: only end-of-stream ends it.
+        raise _Truncated(_AT_EOF)
 
-    # -- suspendable primitives ----------------------------------------------
-
-    def read(self, count: int):
-        """Consume exactly ``count`` bytes (suspends until they arrived)."""
-        if count < 0:
-            raise ParseError(f"cannot read a negative number of bytes ({count})")
-        target = self.cursor + count
-        if self.end is not None and target > self.end:
-            raise ParseError(
-                f"unexpected end of data: needed {count} byte(s), "
-                f"{self.end - self.cursor} available",
-                offset=self.cursor,
-            )
-        source = self.source
-        while source.length < target:
-            if source.eof:
-                raise StreamError(
-                    f"stream ended {target - source.length} byte(s) short of a "
-                    f"{count}-byte read",
-                    offset=self.cursor,
-                )
-            source.last_wait = self.cursor
-            yield NEED_MORE
-        data = source.slice(self.cursor, target)
-        self.cursor = target
-        return data
-
-    def read_rest(self):
-        """Consume every remaining byte of the window.
-
-        On an unbounded window this is the END boundary at stream level: it
-        resolves only once EOF is known (HTTP/1.0 body semantics).
-        """
-        if self.end is not None:
-            return (yield from self.read(self.end - self.cursor))
-        source = self.source
-        while not source.eof:
-            source.last_wait = self.cursor
-            yield NEED_MORE
-        data = source.slice(self.cursor, source.length)
-        self.cursor = source.length
-        return data
-
-    def read_until(self, delimiter: bytes):
-        """Consume up to and including ``delimiter``; return the bytes before it."""
-        if not delimiter:
-            raise ParseError("cannot search for an empty delimiter")
-        source = self.source
-        search_from = self.cursor
-        while True:
-            limit = source.length if self.end is None else min(source.length, self.end)
-            position = source.find(delimiter, search_from, limit)
-            if position >= 0:
-                value = source.slice(self.cursor, position)
-                self.cursor = position + len(delimiter)
-                return value
-            if self.end is not None and source.length >= self.end:
-                # The whole window arrived and holds no delimiter.
-                raise ParseError(
-                    f"delimiter {delimiter!r} not found", offset=self.cursor
-                )
-            if source.eof:
-                raise StreamError(
-                    f"stream ended before delimiter {delimiter!r} was found",
-                    offset=self.cursor,
-                )
-            # A partial delimiter may straddle the next chunk: re-scan only
-            # from the last position it could have started at.
-            search_from = max(self.cursor, limit - len(delimiter) + 1)
-            source.last_wait = self.cursor
-            yield NEED_MORE
-
-    def at_end(self):
-        """End-of-window check (suspends on an unbounded window with no bytes)."""
-        if self.end is not None:
-            return self.cursor >= self.end
-        source = self.source
-        while True:
-            if source.length > self.cursor:
-                return False
-            if source.eof:
-                return True
-            source.last_wait = self.cursor
-            yield NEED_MORE
-
-    def starts_with(self, prefix: bytes):
-        """True when the unread bytes start with ``prefix`` (suspendable)."""
-        target = self.cursor + len(prefix)
-        if self.end is not None and target > self.end:
-            return False
-        source = self.source
-        while source.length < target:
-            if source.eof:
-                if self.end is not None:
-                    raise StreamError(
-                        "stream ended inside a bounded window", offset=self.cursor
-                    )
-                return False
-            source.last_wait = self.cursor
-            yield NEED_MORE
-        return source.startswith(prefix, self.cursor, target)
-
-    def subwindow(self, length: int) -> "StreamWindow":
-        """Bounded child window over the next ``length`` bytes (consumed here)."""
-        if length < 0:
-            raise ParseError(f"negative sub-window length ({length})")
-        if self.end is not None and self.cursor + length > self.end:
-            raise ParseError(
-                f"sub-window of {length} byte(s) exceeds the "
-                f"{self.end - self.cursor} remaining byte(s)",
-                offset=self.cursor,
-            )
-        child = StreamWindow(self.source, self.cursor, self.cursor + length)
-        self.cursor += length
-        return child
-
-    def __repr__(self) -> str:
-        end = "open" if self.end is None else self.end
-        return f"StreamWindow(cursor={self.cursor}, end={end})"
-
-
-# ---------------------------------------------------------------------------
-# the suspendable recursive descent
-# ---------------------------------------------------------------------------
-
-
-class StreamingParser:
-    """The parser's recursive descent, re-expressed as a generator machine.
-
-    Node dispatch, reference resolution, optional presence, repetition
-    boundaries, synthesis recombination and mirrored-region handling mirror
-    :class:`~repro.wire.parser.Parser` exactly — the test suite fuzzes
-    byte- and structure-identity against whole-message ``parse()`` for every
-    registry protocol under 0–4 obfuscation passes.  The difference is purely
-    operational: any read that outruns the stream suspends the whole descent
-    (by yielding :data:`NEED_MORE` up through the generator stack) instead of
-    failing, and resumes in place when more bytes are fed.
-    """
-
-    def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
-                 max_declared_bytes: int | None = None):
-        self.graph = graph
-        self.plan = plan if plan is not None else plan_for(graph)
-        self._ref_targets = self.plan.ref_targets
-        #: budget on *declared* lengths — checked against the declaration
-        #: itself, before any byte is awaited (let alone buffered) toward it.
-        self.max_declared_bytes = max_declared_bytes
-
-    def _check_declared(self, length: int, node: str) -> int:
-        if (self.max_declared_bytes is not None
-                and length > self.max_declared_bytes):
-            raise BudgetExceeded(
-                "declared_bytes", limit=self.max_declared_bytes,
-                actual=length, node=node,
-            )
-        return length
-
-    # -- the per-message machine ----------------------------------------------
-
-    def parse_message(self, window: StreamWindow):
-        """Generator parsing one message starting at ``window.cursor``.
-
-        Yields :data:`NEED_MORE` while suspended; returns ``(message, end)``
-        where ``end`` is the absolute offset one past the message's last byte.
-        """
-        context = _ParseContext()
-        yield from self._parse_node(self.graph.root, window, context)
-        return context.message, window.cursor
-
-    # -- node dispatch (generator mirror of Parser._parse_node) ---------------
-
-    def _parse_node(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                    *, prebounded: bool = False):
-        if node.mirrored and not prebounded:
-            region = yield from self._extract_region(node, win, ctx)
-            inner = StreamWindow(StreamSource.of(region[::-1]), 0, len(region))
-            yield from self._parse_node(node, inner, ctx, prebounded=True)
-            return
-        if node.type is NodeType.TERMINAL:
-            value = yield from self._parse_terminal(node, win, ctx,
-                                                    prebounded=prebounded)
-            self._store_terminal(node, value, ctx)
-            return
-        inner, strict = self._composite_window(node, win, ctx, prebounded)
-        if node.type is NodeType.SEQUENCE:
-            yield from self._parse_sequence(node, inner, ctx)
-        elif node.type is NodeType.OPTIONAL:
-            yield from self._parse_optional(node, inner, ctx)
-        elif node.type in (NodeType.REPETITION, NodeType.TABULAR):
-            yield from self._parse_repetition(node, inner, ctx,
-                                              prebounded=prebounded)
-        else:  # pragma: no cover - exhaustive enum
-            raise ParseError(f"unknown node type {node.type!r}", node=node.name)
-        if strict and not inner.bounded_at_end():
-            raise ParseError(
-                f"{inner.bounded_remaining()} byte(s) left inside bounded node",
-                node=node.name,
-                offset=inner.cursor,
-            )
-
-    def _composite_window(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                          prebounded: bool) -> tuple[StreamWindow, bool]:
-        if prebounded:
-            return win, True
-        if node.boundary.kind is BoundaryKind.LENGTH:
-            length = self._check_declared(
-                ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                node.name,
-            )
-            return win.subwindow(length), True
-        return win, False
-
-    # -- terminals ------------------------------------------------------------
-
-    def _parse_terminal(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                        *, prebounded: bool = False):
-        raw = yield from self._terminal_bytes(node, win, ctx, prebounded)
-        if node.is_pad:
-            return None
-        return self.plan.terminals[node.name].decode(raw)
-
-    def _terminal_bytes(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                        prebounded: bool):
-        if prebounded:
-            return (yield from win.read_rest())
-        kind = node.boundary.kind
+    def read_until(self, delimiter: bytes) -> bytes:
         try:
-            if kind is BoundaryKind.FIXED:
-                return (yield from win.read(node.boundary.size or 0))
-            if kind is BoundaryKind.DELIMITED:
-                return (yield from win.read_until(node.boundary.delimiter or b""))
-            if kind is BoundaryKind.LENGTH:
-                length = self._check_declared(
-                    ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                    node.name,
-                )
-                return (yield from win.read(length))
-            return (yield from win.read_rest())
-        except StreamError:
-            raise
-        except ParseError as exc:
-            raise ParseError(str(exc), node=node.name, offset=win.cursor) from exc
+            return Window.read_until(self, delimiter)
+        except ParseError:
+            if not delimiter:
+                raise
+            raise _Truncated(
+                self._end + 1, delimiter=delimiter,
+                scan_from=max(self._cursor, self._end - len(delimiter) + 1),
+            ) from None
 
-    def _store_terminal(self, node: Node, value: Value | None,
-                        ctx: _ParseContext) -> None:
-        if node.is_pad or value is None:
-            return
-        ctx.raw_values[node.name] = value
-        if node.origin is not None:
-            self.plan.origin_set[node.name](ctx.data, ctx.index_stack, value)
-
-    # -- region extraction for mirrored nodes ----------------------------------
-
-    def _extract_region(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        kind = node.boundary.kind
-        if kind is BoundaryKind.FIXED:
-            return (yield from win.read(node.boundary.size or 0))
-        if kind is BoundaryKind.LENGTH:
-            return (yield from win.read(self._check_declared(
-                ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                node.name,
-            )))
-        if kind is BoundaryKind.END:
-            return (yield from win.read_rest())
-        size = self.plan.static_sizes.get(node.name)
-        if size is None:
-            raise ParseError(
-                "mirrored node has no parse-time determinable extent", node=node.name
-            )
-        return (yield from win.read(size))
-
-    # -- composites -----------------------------------------------------------
-
-    def _parse_sequence(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        if node.synthesis is not None:
-            yield from self._parse_synthesis(node, win, ctx)
-            return
-        for child in node.children:
-            if child.type is NodeType.TERMINAL and not child.mirrored:
-                value = yield from self._parse_terminal(child, win, ctx)
-                self._store_terminal(child, value, ctx)
-            else:
-                yield from self._parse_node(child, win, ctx)
-
-    def _parse_synthesis(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        shares: list[Value] = []
-        for child in node.children:
-            if child.name in self._ref_targets:
-                yield from self._parse_node(child, win, ctx)
-                continue
-            shares.append((yield from self._parse_split_child(child, win, ctx)))
-        if len(shares) != 2:
-            raise ParseError(
-                f"synthesis node {node.name!r} expected two value children, "
-                f"found {len(shares)}"
-            )
-        combined = node.synthesis.combine(shares[0], shares[1])  # type: ignore[union-attr]
-        if node.origin is None:
-            raise ParseError(f"synthesis node {node.name!r} has no logical origin")
-        self.plan.origin_set[node.name](ctx.data, ctx.index_stack, combined)
-
-    def _parse_split_child(self, child: Node, win: StreamWindow, ctx: _ParseContext):
-        if child.mirrored:
-            region = yield from self._extract_region(child, win, ctx)
-            inner = StreamWindow(StreamSource.of(region[::-1]), 0, len(region))
-            value = yield from self._parse_terminal(child, inner, ctx, prebounded=True)
-        else:
-            value = yield from self._parse_terminal(child, win, ctx)
-        if value is None:  # pragma: no cover - split children are never pads
-            raise ParseError(f"split child {child.name!r} produced no value")
-        ctx.raw_values[child.name] = value
-        return value
-
-    def _parse_optional(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        present = yield from self._optional_present(node, win, ctx)
-        if not present:
-            return
-        yield from self._parse_node(node.children[0], win, ctx)
-
-    def _optional_present(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        if node.presence_ref is not None:
-            if node.presence_ref not in ctx.raw_values:
-                raise ParseError(
-                    f"presence reference {node.presence_ref!r} has not been parsed yet",
-                    node=node.name,
-                )
-            return ctx.raw_values[node.presence_ref] == node.presence_value
-        at_end = yield from win.at_end()
-        return not at_end
-
-    def _parse_repetition(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                          *, prebounded: bool = False):
-        if node.origin is None:
-            raise ParseError(f"repeated node {node.name!r} has no logical origin")
-        self.plan.list_init[node.name](ctx.data, ctx.index_stack)
-        child = node.children[0]
-        kind = node.boundary.kind
-
-        if kind is BoundaryKind.COUNTER:
-            count = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
-            for index in range(count):
-                ctx.index_stack.append(index)
-                try:
-                    yield from self._parse_node(child, win, ctx)
-                finally:
-                    ctx.index_stack.pop()
-            return
-        if kind is BoundaryKind.DELIMITED:
-            terminator = node.boundary.delimiter or b""
-            index = 0
-            while True:
-                at_end = yield from win.at_end()
-                if at_end:
-                    return
-                terminated = yield from win.starts_with(terminator)
-                if terminated:
-                    yield from win.read(len(terminator))
-                    return
-                ctx.index_stack.append(index)
-                try:
-                    yield from self._parse_node(child, win, ctx)
-                finally:
-                    ctx.index_stack.pop()
-                index += 1
-        # LENGTH / END / prebounded: consume the window.
-        index = 0
-        while True:
-            at_end = yield from win.at_end()
-            if at_end:
-                return
-            ctx.index_stack.append(index)
-            try:
-                yield from self._parse_node(child, win, ctx)
-            finally:
-                ctx.index_stack.pop()
-            index += 1
-
-
-# ---------------------------------------------------------------------------
-# the stream driver
-# ---------------------------------------------------------------------------
+    def subwindow(self, length: int) -> Window:
+        need = self._cursor + length
+        if need > self._end:
+            raise _Truncated(need, length)
+        return Window.subwindow(self, length)
 
 
 @dataclass(frozen=True)
@@ -573,48 +138,71 @@ class StreamingDecoder:
 
     ``feed()`` returns the messages completed by that chunk (zero or more —
     one chunk can complete several back-to-back messages, or none).
-    ``feed_eof()`` flushes the tail: a message suspended on an END boundary
-    completes, a message cut mid-field raises :class:`StreamError`.
-    ``needs_more`` reports whether a message is currently suspended.
+    ``feed_eof()`` parses what is left with closed windows: a message waiting
+    on an END boundary completes, a message cut short raises
+    :class:`StreamError` with the parse error's node and offset.
+    ``needs_more`` reports whether bytes of an unfinished message are held.
 
     ``budget`` is any object exposing ``max_stream_bytes`` /
     ``max_declared_bytes`` / ``max_steps_per_feed`` attributes (``None``
     meaning unlimited) — typically a
     :class:`~repro.net.governance.ResourceBudget`, duck-typed so the wire
-    layer stays independent of the net layer.  Violations raise
-    :class:`~repro.core.errors.BudgetExceeded` and latch the decoder dead
-    like any other stream failure.
+    layer stays independent of the net layer.  ``max_steps_per_feed`` bounds
+    the parse attempts of one feed: each completed message is one attempt,
+    and so is each attempt that runs out of buffered bytes.  A counted read
+    that runs past the buffered bytes and is longer than
+    ``max_declared_bytes`` is refused before the decoder waits for any byte
+    toward it.  Whatever the budget, each attempt re-parses the message from
+    its first byte, so the bytes re-read by one message's truncated attempts
+    are bounded by ``REPARSE_FACTOR`` times its buffered bytes plus
+    ``REPARSE_SLACK`` (resource ``reparse_bytes``): a message dribbled in
+    many small feeds costs work linear in its size or is refused.  A wait
+    on a delimiter re-tries only once the delimiter has arrived.  Violations
+    raise :class:`~repro.core.errors.BudgetExceeded` and latch the decoder
+    dead like any other stream failure.
     """
+
+    #: Re-parse bound of one message: the bytes its truncated attempts
+    #: re-read may total ``REPARSE_FACTOR`` times its buffered bytes plus
+    #: ``REPARSE_SLACK`` (``reparse_bytes``; independent of ``budget``).
+    REPARSE_FACTOR = 16
+    REPARSE_SLACK = 1 << 16
 
     def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
                  budget=None):
-        self.parser = StreamingParser(
-            graph, plan=plan,
-            max_declared_bytes=getattr(budget, "max_declared_bytes", None),
-        )
+        self.parser = Parser(graph, plan=plan)
         self._max_stream = getattr(budget, "max_stream_bytes", None)
+        self._max_declared = getattr(budget, "max_declared_bytes", None)
         self._max_steps = getattr(budget, "max_steps_per_feed", None)
-        self._source = StreamSource()
-        self._machine = None
+        #: received bytes not yet framed; ``_buffer[0]`` starts a message.
+        self._buffer = bytearray()
+        #: absolute stream offset of ``_buffer[0]``.
         self._start = 0
+        #: buffered length the next parse attempt waits for.
+        self._need = 1
+        #: delimiter the last attempt searched for, and the buffer offset
+        #: from which a fed byte could complete it (``None``: no search).
+        self._delimiter: bytes | None = None
+        self._scan_from = 0
+        #: bytes of the current message that truncated attempts re-parsed.
+        self._reparsed = 0
+        #: parse attempts made by the current feed.
+        self._attempts = 0
+        self._eof = False
         self._decoded = 0
-        self._steps = 0
-        # Prefix of the in-flight message already released from the source
-        # (mid-message trim): DecodedMessage.raw still needs those bytes.
-        self._raw_parts = bytearray()
         self._failed: StreamError | None = None
 
     # -- state ----------------------------------------------------------------
 
     @property
     def needs_more(self) -> bool:
-        """True when a partially parsed message is waiting for bytes."""
-        return self._machine is not None
+        """True when bytes of an unfinished message are waiting for more."""
+        return bool(self._buffer)
 
     @property
     def buffered(self) -> int:
         """Number of received-but-unconsumed bytes."""
-        return self._source.length - self._start
+        return len(self._buffer)
 
     @property
     def decoded_count(self) -> int:
@@ -623,114 +211,123 @@ class StreamingDecoder:
 
     @property
     def at_eof(self) -> bool:
-        return self._source.eof
+        return self._eof
 
     # -- feeding --------------------------------------------------------------
 
     def feed(self, data: bytes) -> list[DecodedMessage]:
         """Buffer ``data`` and return every message it completed."""
         self._check_failed()
+        if self._eof:
+            raise StreamError("cannot feed bytes after end-of-stream")
         if (self._max_stream is not None
-                and self.buffered + len(data) > self._max_stream):
+                and len(self._buffer) + len(data) > self._max_stream):
             raise self._fail(BudgetExceeded(
                 "stream_bytes", limit=self._max_stream,
-                actual=self.buffered + len(data),
+                actual=len(self._buffer) + len(data),
                 message_index=self._decoded,
             ))
-        self._steps = 0
-        self._source.feed(data)
-        return self._pump()
+        self._buffer += data
+        if len(self._buffer) < self._need:
+            return []
+        if self._delimiter is not None:
+            if self._buffer.find(self._delimiter, self._scan_from) < 0:
+                self._scan_from = max(
+                    self._scan_from,
+                    len(self._buffer) - len(self._delimiter) + 1)
+                return []
+        return self._frame(_OpenWindow)
 
     def feed_eof(self) -> list[DecodedMessage]:
         """Signal end-of-stream and return the flushed tail messages."""
         self._check_failed()
-        self._steps = 0
-        if not self._source.eof:
-            self._source.feed_eof()
-        completed = self._pump()
-        if self._machine is not None:  # pragma: no cover - machines resolve at EOF
-            raise self._fail(StreamError(
-                "stream ended inside a message", offset=self._source.length,
+        self._eof = True
+        self._need, self._delimiter = 1, None
+        return self._frame(Window)
+
+    # -- framing ----------------------------------------------------------------
+
+    def _frame(self, window_type: type[Window]) -> list[DecodedMessage]:
+        """Parse every message the buffer completes, from one snapshot."""
+        completed: list[DecodedMessage] = []
+        data = bytes(self._buffer)
+        self._attempts = pos = 0
+        while len(data) - pos >= self._need:
+            try:
+                message, end = self.parser.parse_prefix(window_type(data, pos))
+            except _Truncated as cut:
+                if (cut.declared is not None and self._max_declared is not None
+                        and cut.declared > self._max_declared):
+                    raise self._fail(BudgetExceeded(
+                        "declared_bytes", limit=self._max_declared,
+                        actual=cut.declared, message_index=self._decoded,
+                    )) from None
+                self._count_attempt()
+                self._wait(cut, pos, len(data) - pos)
+                break
+            except ParseError as exc:
+                if pos:
+                    # Re-parse from the message's own first byte, so the
+                    # error's offsets read as Parser.parse reports them.
+                    data, pos = data[pos:], 0
+                    continue
+                raise self._fail(self._undecodable(exc)) from exc
+            if end == pos:
+                raise self._fail(StreamError(
+                    "a zero-length message cannot be framed",
+                    offset=self._start, message_index=self._decoded,
+                ))
+            completed.append(DecodedMessage(
+                message=message, raw=data[pos:end],
+                start=self._start, end=self._start + end - pos,
+            ))
+            self._start += end - pos
+            self._decoded += 1
+            self._need, self._delimiter, self._reparsed = 1, None, 0
+            pos = end
+            self._count_attempt()
+        del self._buffer[:pos]
+        return completed
+
+    def _wait(self, cut: _Truncated, pos: int, held: int) -> None:
+        """Park the message starting at ``pos`` until ``cut`` can be met.
+
+        Each attempt re-parses the message from its first byte, so the bytes
+        those re-reads cost are summed per message and refused past a fixed
+        multiple of the message's buffered bytes: a message dribbled in many
+        small feeds must not cost work quadratic in its size.
+        """
+        self._reparsed += held
+        limit = self.REPARSE_FACTOR * held + self.REPARSE_SLACK
+        if self._reparsed > limit:
+            raise self._fail(BudgetExceeded(
+                "reparse_bytes", limit=limit, actual=self._reparsed,
                 message_index=self._decoded,
             ))
-        return completed
+        self._need = cut.need - pos
+        self._delimiter = cut.delimiter
+        self._scan_from = cut.scan_from - pos
 
-    # -- the pump --------------------------------------------------------------
+    def _count_attempt(self) -> None:
+        self._attempts += 1
+        if self._max_steps is not None and self._attempts > self._max_steps:
+            raise self._fail(BudgetExceeded(
+                "decode_steps", limit=self._max_steps, actual=self._attempts,
+                message_index=self._decoded,
+            ))
 
-    def _pump(self) -> list[DecodedMessage]:
-        completed: list[DecodedMessage] = []
-        source = self._source
-        while True:
-            if self._machine is None:
-                if source.length <= self._start:
-                    break  # no unconsumed byte: clean inter-message point
-                window = StreamWindow(source, self._start, None)
-                self._machine = self.parser.parse_message(window)
-            try:
-                self._machine.send(None)
-            except StopIteration as stop:
-                message, end = stop.value
-                if self._raw_parts:
-                    raw = bytes(self._raw_parts) + source.slice(source.base, end)
-                    self._raw_parts.clear()
-                else:
-                    raw = source.slice(self._start, end)
-                completed.append(DecodedMessage(
-                    message=message, raw=raw, start=self._start, end=end,
-                ))
-                self._machine = None
-                self._start = end
-                self._decoded += 1
-                source.release(end)
-                self._steps += 1
-                if self._max_steps is not None and self._steps > self._max_steps:
-                    raise self._fail(BudgetExceeded(
-                        "decode_steps", limit=self._max_steps,
-                        actual=self._steps, message_index=self._decoded,
-                    ))
-                continue
-            except BudgetExceeded as exc:
-                # Keep the typed subclass (and its resource/limit/actual
-                # attribution) intact instead of re-wrapping it away.
-                if exc.message_index is None:
-                    exc.message_index = self._decoded
-                raise self._fail(exc)
-            except StreamError as exc:
-                wrapped = StreamError(str(exc), message_index=self._decoded)
-                wrapped.offset, wrapped.node = exc.offset, exc.node
-                raise self._fail(wrapped) from exc
-            except ParseError as exc:
-                wrapped = StreamError(
-                    f"undecodable bytes on stream: {exc}",
-                    message_index=self._decoded,
-                )
-                wrapped.offset, wrapped.node = exc.offset, exc.node
-                raise self._fail(wrapped) from exc
-            # The machine yielded NEED_MORE: drop the consumed prefix of the
-            # in-flight message before waiting, so a stalled multi-record
-            # feed cannot pin the whole stream history in memory.
-            self._trim()
-            break
-        return completed
-
-    def _trim(self) -> None:
-        """Release bytes a suspended parse can no longer re-read.
-
-        ``source.last_wait`` is the cursor of the deepest suspended window —
-        the minimum offset any resumed read will touch (parent cursors sit at
-        or past their child's end, and delimiter re-scans never start before
-        the cursor).  Everything before it is retained only for
-        :class:`DecodedMessage.raw`, so it moves into ``_raw_parts``.
-        """
-        source = self._source
-        safe = source.last_wait
-        if safe > source.base:
-            self._raw_parts += source.slice(source.base, safe)
-            source.release(safe)
+    def _undecodable(self, exc: ParseError) -> StreamError:
+        """Re-home a parse error of the current message on the stream."""
+        error = StreamError(
+            f"undecodable message at stream offset {self._start}: {exc}",
+            message_index=self._decoded,
+        )
+        error.node = exc.node
+        error.offset = None if exc.offset is None else self._start + exc.offset
+        return error
 
     def _fail(self, error: StreamError) -> StreamError:
         self._failed = error
-        self._machine = None
         return error
 
     def _check_failed(self) -> None:

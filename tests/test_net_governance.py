@@ -18,6 +18,7 @@ from random import Random
 import pytest
 
 from repro.core.errors import BudgetExceeded, StreamError
+from repro.core.message import Message
 from repro.net import (
     BusyEvent,
     FaultPlan,
@@ -40,8 +41,9 @@ from repro.net import (
 from repro.net.framing import BUSY_SENTINEL, frame_payload
 from repro.net.session import _MessagePump
 from repro.protocols import registry
+from repro.spec import parse_spec
 from repro.wire.serializer import Serializer
-from repro.wire.streaming import StreamSource, StreamingDecoder
+from repro.wire.streaming import StreamingDecoder, is_self_framing
 
 
 def run(coroutine):
@@ -56,6 +58,17 @@ def virtual(coroutine_factory):
         return await clock.run(coroutine_factory(clock))
 
     return asyncio.run(scenario())
+
+
+#: A self-framing line protocol whose fields end at delimiters on the stream.
+LINE_SPEC = '''
+protocol line;
+message line_msg {
+    uint kind : 1;
+    text name delimited(": ");
+    text value delimited("\\r\\n");
+}
+'''
 
 
 def modbus_payloads(count: int, *, seed: int = 0) -> list[bytes]:
@@ -168,31 +181,110 @@ class TestStreamingDecoderBudgets:
             decoder.feed(b"\x00" * ((1 << 16) + 1))
         assert err.value.resource == "stream_bytes"
 
-    def test_source_limit_is_enforced_on_feed(self):
-        source = StreamSource(limit=8)
-        source.feed(b"12345678")
-        with pytest.raises(BudgetExceeded):
-            source.feed(b"9")
-        assert source.buffered_bytes() == 8
-
-    def test_mid_message_trim_releases_consumed_prefix(self):
-        # Satellite 1: while a message is suspended mid-parse, bytes the
-        # parse has consumed are released from the source — the physical
-        # buffer stays below the logical backlog — yet DecodedMessage.raw
-        # still reproduces the full wire extent.
+    def test_declared_bytes_refused_at_the_declaration(self):
+        # An MBAP header declaring more than the strict 8192-byte limit is
+        # refused on the feed that carries it, before anything past the
+        # header is buffered toward the promised payload.
         graph = registry.get("modbus").reference_graph("request")
-        payload = modbus_payloads(1, seed=3)[0]
-        decoder = StreamingDecoder(graph)
-        trimmed = False
+        decoder = StreamingDecoder(graph, budget=ResourceBudget.strict())
+        header = b"\x00\x01\x00\x00" + (9000).to_bytes(2, "big")
+        with pytest.raises(BudgetExceeded) as err:
+            decoder.feed(header)
+        assert err.value.resource == "declared_bytes"
+        assert err.value.actual == 9000
+        assert decoder.buffered <= len(header)
+
+    @pytest.mark.parametrize("dialect", ["modbus", "delimited"])
+    def test_one_step_per_feed_survives_a_byte_drip(self, dialect):
+        # One-byte feeds make at most one parse attempt each, so the
+        # tightest work budget still decodes a dripped stream, even where a
+        # delimiter search on the stream re-tries on every arriving byte.
+        # No registry dialect draws a DELIMITED terminal outside a
+        # length-bounded region, so that graph comes from the DSL.
+        if dialect == "modbus":
+            graph = registry.get("modbus").reference_graph("request")
+            payloads = modbus_payloads(3, seed=4)
+        else:
+            graph = parse_spec(LINE_SPEC)
+            assert is_self_framing(graph)
+            serializer = Serializer(graph, rng=Random(2))
+            payloads = [
+                serializer.serialize(Message({"kind": kind, "name": "host",
+                                              "value": f"node-{kind}"}))
+                for kind in range(3)
+            ]
+        decoder = StreamingDecoder(graph,
+                                   budget=ResourceBudget(max_steps_per_feed=1))
         decoded = []
-        for offset in range(len(payload)):
-            decoded += decoder.feed(payload[offset:offset + 1])
-            held = decoder._source.buffered_bytes()
-            if not decoded and held < decoder.buffered:
-                trimmed = True
-        assert trimmed, "consumed prefix was never released mid-message"
-        assert len(decoded) == 1
-        assert decoded[0].raw == payload
+        for byte in b"".join(payloads):
+            decoded += decoder.feed(bytes([byte]))
+        assert [frame.raw for frame in decoded] == payloads
+
+    @pytest.mark.parametrize("chunk", [1460, 1])
+    def test_many_question_query_costs_linear_reparse(self, chunk):
+        # Every attempt re-parses the message from its first byte, so a
+        # query of thousands of questions dribbled in small feeds would cost
+        # work quadratic in its size. The decoder either frames it within a
+        # linear bound on the bytes its attempts parse, or refuses it typed.
+        from repro.protocols.dns.app import build_query
+
+        graph = registry.get("dns").reference_graph("request")
+        query = build_query([("www.api.example.com", 1, 1)] * 2000)
+        data = Serializer(graph, rng=Random(0)).serialize(query)
+        decoder = StreamingDecoder(graph, budget=ResourceBudget.strict())
+        bound = (StreamingDecoder.REPARSE_FACTOR * len(data)
+                 + StreamingDecoder.REPARSE_SLACK + len(data))
+        parsed = []
+        parse_prefix = decoder.parser.parse_prefix
+
+        def counting(window):
+            parsed.append(window.end - window.cursor)
+            assert sum(parsed) <= bound
+            return parse_prefix(window)
+
+        decoder.parser.parse_prefix = counting
+        decoded = []
+        try:
+            for cursor in range(0, len(data), chunk):
+                decoded += decoder.feed(data[cursor : cursor + chunk])
+        except BudgetExceeded as exc:
+            assert exc.resource == "reparse_bytes"
+        else:
+            assert [frame.raw for frame in decoded] == [data]
+        assert len(parsed) <= len(data)
+
+    def test_delimiter_wait_does_not_reparse_per_byte(self):
+        # A dripped delimiter search re-tries once the delimiter has
+        # arrived, not on every byte before it.
+        graph = parse_spec(LINE_SPEC)
+        payload = Serializer(graph, rng=Random(2)).serialize(
+            Message({"kind": 1, "name": "h" * 200, "value": "v" * 200}))
+        decoder = StreamingDecoder(graph)
+        attempts = []
+        parse_prefix = decoder.parser.parse_prefix
+
+        def counting(window):
+            attempts.append(window.end)
+            return parse_prefix(window)
+
+        decoder.parser.parse_prefix = counting
+        decoded = []
+        for byte in payload:
+            decoded += decoder.feed(bytes([byte]))
+        assert [frame.raw for frame in decoded] == [payload]
+        assert len(attempts) <= 4
+
+    @pytest.mark.parametrize("tail", [None, 1])
+    def test_one_step_per_feed_refuses_a_second_attempt(self, tail):
+        # A second whole message is a second attempt, and so is an attempt
+        # on the first byte of one.
+        graph = registry.get("modbus").reference_graph("request")
+        decoder = StreamingDecoder(graph,
+                                   budget=ResourceBudget(max_steps_per_feed=1))
+        first, second = modbus_payloads(2)
+        with pytest.raises(BudgetExceeded) as err:
+            decoder.feed(first + second[:tail])
+        assert err.value.resource == "decode_steps"
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The core guarantee of the incremental decoder is *exact* equivalence with
 ``parse()``: for every registry protocol, at every obfuscation level 0-4,
 under arbitrary chunk boundaries, the streamed result must be byte- and
 structure-identical to parsing the whole buffer at once.  On top of that the
-suite pins the stream-only behaviours: back-to-back framing, NEED_MORE
+suite pins the stream-only behaviours: back-to-back framing, needs-more
 reporting, clean :class:`StreamError` on mid-message EOF and on trailing
-garbage, and the self-framing analysis that decides the session framing.
+garbage (with the same node and offset as ``parse()``'s error), and the
+self-framing analysis that decides the session framing.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from random import Random
 
 import pytest
 
-from repro.core.errors import StreamError
+from repro.core.errors import ParseError, StreamError
 from repro.net.framing import RecordDecoder, encode_record, resolve_framing
 from repro.protocols import registry
+from repro.spec import parse_spec
 from repro.transforms.engine import Obfuscator
-from repro.wire import WireCodec
+from repro.wire import Parser, WireCodec, Window, parse
 from repro.wire.streaming import (
     StreamingDecoder,
     decode_stream,
@@ -83,7 +85,7 @@ def test_split_inside_length_and_counter_fields():
 
     The Modbus MBAP length field occupies bytes [4, 6) and the DNS qdcount
     bytes [4, 6): feeding exactly one of the two bytes must leave the decoder
-    suspended (NEED_MORE), and completing the field must resume in place.
+    suspended (needs more), and completing the field must resume in place.
     """
     for key, cut in (("modbus", 5), ("dns", 5), ("mqtt", 2)):
         setup = registry.get(key)
@@ -179,6 +181,72 @@ def test_trailing_garbage_raises_stream_error():
         decoder.feed(b"\x00\x01\x00\x00\x00\x04\x01")
         decoder.feed_eof()
     assert excinfo.value.message_index == 1
+
+
+@pytest.mark.parametrize("key", ["coap", "dns", "modbus", "mqtt"])
+@pytest.mark.parametrize("passes", [0, 1, 2, 3, 4])
+def test_damaged_last_message_reports_the_parse_error(key, passes):
+    """A truncated or bit-flipped last message fails like ``parse()`` on it.
+
+    The stream error names the damaged message, the node of strict
+    ``parse()``'s error on that message's bytes, and that error's offset
+    moved to the message's place in the stream.  Damage that still frames
+    as a (shorter) message shifts the error onto a later message and is
+    skipped.
+    """
+    setup = registry.get(key)
+    graph = setup.graph_factory()
+    if passes:
+        graph = Obfuscator(seed=300 + passes).obfuscate(graph, passes).graph
+    if not is_self_framing(graph):
+        pytest.skip(f"{key} became stream-greedy at {passes} passes")
+    codec = WireCodec(graph, seed=11)
+    rng = Random(f"parity-{key}-{passes}")
+    wires = [codec.serialize(setup.message_generator(rng)) for _ in range(3)]
+    start = sum(len(wire) for wire in wires[:-1])
+    checked = 0
+    for trial in range(12):
+        last = bytearray(wires[-1])
+        if trial % 2:
+            position = rng.randrange(len(last))
+            last[position] ^= 1 << rng.randrange(8)
+        else:
+            del last[rng.randrange(1, len(last)):]
+        damaged = bytes(last)
+        try:
+            Parser(graph).parse_prefix(Window(damaged))
+        except ParseError:
+            pass
+        else:
+            continue
+        with pytest.raises(ParseError) as strict:
+            parse(graph, damaged)
+        expected = strict.value
+        stream = b"".join(wires[:-1]) + damaged
+        # Random chunks, and the whole stream in one feed (the damaged
+        # message then starts mid-buffer).
+        for chunks in (random_chunks(stream, rng), [stream]):
+            decoder = StreamingDecoder(graph)
+            with pytest.raises(StreamError) as streamed:
+                for chunk in chunks:
+                    decoder.feed(chunk)
+                decoder.feed_eof()
+            error = streamed.value
+            assert error.message_index == len(wires) - 1
+            assert error.node == expected.node
+            assert error.offset == (None if expected.offset is None
+                                    else start + expected.offset)
+        checked += 1
+    assert checked
+
+
+def test_zero_length_message_is_refused_not_looped_on():
+    """A graph that accepts an empty message cannot frame a stream."""
+    graph = parse_spec("protocol empty; message nothing { bytes pad : 0; }")
+    decoder = StreamingDecoder(graph)
+    with pytest.raises(StreamError) as excinfo:
+        decoder.feed(b"\x01")
+    assert excinfo.value.message_index == 0
 
 
 def test_failed_decoder_refuses_further_feeds():

@@ -17,18 +17,15 @@ import pytest
 from repro.codegen import (
     EMITTER_VERSION,
     SpecializedCodec,
-    available_backends,
     cached_module,
     clear_module_cache,
-    compile_native,
     generate_module,
     generate_module_from_plan,
     generate_specialized_module,
     load_source,
-    maybe_native,
     module_cache_stats,
 )
-from repro.core.errors import CodegenError, ParseError
+from repro.core.errors import CodegenError, ParseError, SerializationError
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 from repro.wire import WireCodec
@@ -180,6 +177,22 @@ class TestErrorParity:
         assert codec.parse(wire + b"xx", strict=False) == message
 
 
+@pytest.mark.parametrize("codec_type", [WireCodec, SpecializedCodec])
+@pytest.mark.parametrize("key, field, value, terminal", [
+    ("http", "uri", "caf\u20ac", "uri"),
+    ("modbus", "request_transaction_id", [1], "request_transaction_id"),
+    ("dns", "query_id", [1], "query_id"),
+])
+def test_unencodable_value_raises_serialization_error(codec_type, key, field,
+                                                      value, terminal):
+    """A value the terminal cannot carry is a typed error on both tiers."""
+    setup = registry.get(key)
+    message = setup.message_generator(Random(1))
+    message.set(field, value)
+    with pytest.raises(SerializationError, match=f"terminal {terminal!r}"):
+        codec_type(setup.graph_factory(), seed=1).serialize(message)
+
+
 class TestModuleCache:
     def setup_method(self):
         clear_module_cache()
@@ -263,24 +276,6 @@ class TestVersionRefusal:
         module = load_source(source)
         assert module.__emitter_version__ == EMITTER_VERSION
         assert module.__specialized__ is False
-
-
-class TestNativeHook:
-    def test_fallback_when_no_backend_installed(self, modbus_request_graph):
-        # The container ships no mypyc/Cython: the hook must return None /
-        # the fallback module without raising.
-        source = generate_module(modbus_request_graph, specialize=True)
-        if available_backends():
-            pytest.skip("a native backend is installed here")
-        assert compile_native(source) is None
-        fallback = load_source(source)
-        assert maybe_native(source, fallback, native=True) is fallback
-
-    def test_maybe_native_is_opt_in(self, modbus_request_graph, monkeypatch):
-        source = generate_module(modbus_request_graph, specialize=True)
-        fallback = load_source(source)
-        monkeypatch.delenv("REPRO_NATIVE_CODEC", raising=False)
-        assert maybe_native(source, fallback) is fallback
 
 
 class TestNetIntegration:
