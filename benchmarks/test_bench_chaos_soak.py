@@ -27,7 +27,7 @@ reply digest — must be byte-identical (the seeded-recovery flakiness guard).
 Two companion sections ride along: reconnect-with-rotation-resume (a rotated
 session survives a mid-session cut and resumes on the last announced key id)
 and the circuit breaker tripping on a dead upstream dial.  Results are
-written to ``BENCH_PR7.json`` at the repository root.  Set ``BENCH_QUICK=1``
+written to ``.bench_out/BENCH_PR7.json``.  Set ``BENCH_QUICK=1``
 for the reduced CI smoke configuration.
 """
 
@@ -39,8 +39,9 @@ import json
 import os
 import platform
 import sys
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.net import (
     ChaosSchedule,
@@ -77,7 +78,7 @@ FAULT_WINDOW = (8, 24)
 #: hostile connection attempts before the schedule heals the link.
 FAILURES = 1
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
+OUTPUT = BENCH_OUT / "BENCH_PR7.json"
 
 #: error prefixes that count as a *typed* diagnosis on a chaos-killed
 #: server session (the audit-trail requirement).
@@ -442,7 +443,7 @@ def test_chaos_soak_suite():
         "rotation_resume": rotation,
         "breaker_trip": breaker,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'scenario':<10} {'conc':>4} {'replies':>9} "

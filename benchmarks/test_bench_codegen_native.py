@@ -16,7 +16,7 @@ cell drives full obfuscated sessions through :mod:`repro.net` (record
 framing over a memory pipe) with ``specialize`` off and on and checks the
 captured wire records digest-identical.
 
-Results go to ``BENCH_PR10.json`` at the repository root.  Acceptance: the
+Results go to ``.bench_out/BENCH_PR10.json``.  Acceptance: the
 specialized tier sustains a >= 3x geometric-mean speedup over the planned
 path (relaxed floor under ``BENCH_QUICK=1`` / CI so shared-runner noise
 cannot fail an unrelated build — the measured numbers are recorded either
@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import math
 import os
 import platform
 import sys
 import time
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.codegen import cached_module, clear_module_cache
 from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
@@ -53,7 +53,7 @@ GEOMEAN_FLOOR = 1.5 if RELAXED else 3.0
 CELL_FLOOR = 0.8 if RELAXED else 1.2
 NET_REQUESTS = 12 if QUICK else 40
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
+OUTPUT = BENCH_OUT / "BENCH_PR10.json"
 
 
 def _wire_digest(graph, module, messages) -> tuple[str, str, list[bytes]]:
@@ -233,7 +233,7 @@ def test_specialized_codegen_suite():
         "geomean_speedup": round(geomean, 3),
         "net_session": net,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'level':>5} {'parse':>8} {'serialize':>10}")

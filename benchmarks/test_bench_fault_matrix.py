@@ -21,7 +21,7 @@ Anything else is **undiagnosed** and fails the gate.  Each faulted cell is
 additionally executed twice and must reproduce bit-identically (the
 flakiness guard for seeded fault schedules).
 
-Results are written to ``BENCH_PR6.json`` at the repository root, including
+Results are written to ``.bench_out/BENCH_PR6.json``, including
 degraded-attacker-view resilience cells (partial / truncated / window /
 mid-rotation captures) and the CoAP interpreted-vs-generated codec identity
 check at levels 0–4.  Set ``BENCH_QUICK=1`` for the reduced CI smoke
@@ -31,12 +31,12 @@ configuration.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import platform
 import sys
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.codegen import GeneratedCodec
 from repro.experiments import DegradedView, run_resilience
@@ -54,7 +54,7 @@ MESSAGES = 6 if QUICK else 12
 #: fraction of the clean stream after which the truncation fault cuts.
 TRUNCATE_FRACTION = 0.55
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
+OUTPUT = BENCH_OUT / "BENCH_PR6.json"
 
 
 def _fault_cells(truncate_at: int) -> list[tuple[str, FaultPlan]]:
@@ -280,7 +280,7 @@ def test_fault_matrix_suite():
         "degraded_views": views,
         "coap_codegen_identity": codegen,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'lvl':>3} {'fault':<9} {'framing':>7} "

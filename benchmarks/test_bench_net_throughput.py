@@ -12,7 +12,7 @@ sessions without file-descriptor limits and measures the framework (framing,
 incremental decoding, serialization, capture-free session loop) rather than
 the kernel's TCP stack.
 
-Results are written to ``BENCH_PR4.json`` at the repository root.  Set
+Results are written to ``.bench_out/BENCH_PR4.json``.  Set
 ``BENCH_QUICK=1`` for the reduced CI smoke configuration.  Acceptance: the
 256-session cell completes for every protocol with zero session errors.
 """
@@ -20,13 +20,13 @@ Results are written to ``BENCH_PR4.json`` at the repository root.  Set
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import platform
 import sys
 import time
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.net import ObfuscatedClient, ObfuscatedServer, connect_memory
 from repro.protocols import mqtt, registry
@@ -40,7 +40,7 @@ REQUESTS_PER_SESSION = (
     {1: 8, 32: 2, 256: 2} if QUICK else {1: 64, 32: 16, 256: 4}
 )
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
+OUTPUT = BENCH_OUT / "BENCH_PR4.json"
 
 #: MQTT packet families that elicit a broker reply (CONNECT is absorbed, so
 #: the benchmark's request() accounting stays uniform across protocols).
@@ -133,7 +133,7 @@ def test_net_throughput_suite():
         "cells": cells,
         "protocols": protocols,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'sessions':>8} {'framing':>8} {'msgs':>7} "

@@ -28,7 +28,7 @@ typed errors only, replies complete where recovery is expected, budget and
 governor counters agreeing with the traces.  Each cell runs twice and the
 full record must replay byte-identically (budgets and governor hold no clock
 and no randomness, so overload behaviour is a pure function of the seeds).
-Results go to ``BENCH_PR8.json`` at the repository root; ``BENCH_QUICK=1``
+Results go to ``.bench_out/BENCH_PR8.json``; ``BENCH_QUICK=1``
 selects the reduced CI smoke configuration.
 """
 
@@ -39,8 +39,9 @@ import json
 import os
 import platform
 import sys
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.net import (
     FaultPlan,
@@ -78,7 +79,7 @@ SCENARIOS = ("memory_bomb", "slow_consumer", "flood_admission", "drip_feed")
 PROFILES = {"strict": ResourceBudget.strict(),
             "standard": ResourceBudget.standard()}
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR8.json"
+OUTPUT = BENCH_OUT / "BENCH_PR8.json"
 
 #: error prefixes that count as a *typed* diagnosis on a killed session.
 TYPED_ERRORS = ("BudgetExceeded", "ServerBusy", "StreamError",
@@ -427,7 +428,7 @@ def test_overload_soak_suite():
             for outcome in ("shielded", "recovered", "undiagnosed")
         },
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'scenario':<16} {'profile':<9} "

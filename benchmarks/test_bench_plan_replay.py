@@ -1,6 +1,6 @@
 """Plan replay suite — replay-vs-re-derive speedup and rotation throughput.
 
-Two measurements of PR 5's plan layer, written to ``BENCH_PR5.json``:
+Two measurements of PR 5's plan layer, written to ``.bench_out/BENCH_PR5.json``:
 
 * **replay speedup** — ``ExperimentRunner.run_level`` in engine mode (every
   run re-draws and re-validates an obfuscation with the engine) vs replay
@@ -23,14 +23,14 @@ zero errors across >= 3 rotations.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 import platform
 import sys
 import time
-from pathlib import Path
 from random import Random
+
+from bench_output import BENCH_OUT, write_report
 
 from repro.experiments import ExperimentRunner
 from repro.net import ObfuscatedClient, ObfuscatedServer, PlanBook, connect_memory, derive_session_key
@@ -52,7 +52,7 @@ REQUESTS_PER_KEY = 8 if QUICK else 48
 #: machines are noisy); the dev-machine figure is reported in the JSON.
 SPEEDUP_FLOOR = 1.0 if QUICK else 1.05
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
+OUTPUT = BENCH_OUT / "BENCH_PR5.json"
 
 _MQTT_REPLYING = (mqtt.PUBLISH_QOS0, mqtt.PUBLISH_QOS1, mqtt.PINGREQ)
 
@@ -162,7 +162,7 @@ def test_plan_replay_suite():
         "replay_speedup_geomean": round(geomean, 3),
         "rotation": rotation_cells,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'engine_s':>9} {'replay_s':>9} {'speedup':>8}")

@@ -20,7 +20,7 @@ experiment (:func:`repro.experiments.run_resilience`) end-to-end for every
 protocol and records its wall-clock, plain-trace inference quality and
 1-pass degradation.
 
-Results are written to ``BENCH_PR3.json`` at the repository root.  Set
+Results are written to ``.bench_out/BENCH_PR3.json``.  Set
 ``BENCH_QUICK=1`` to run the reduced CI smoke configuration.  The full 3x
 gate assumes numpy (the vectorized batch engine); without it the exact
 pure-python fallback runs and only the no-regression floor applies.
@@ -28,7 +28,6 @@ pure-python fallback runs and only the no-regression floor applies.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
@@ -38,6 +37,7 @@ from pathlib import Path
 from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_output import BENCH_OUT, write_report  # noqa: E402
 from legacy_pre import legacy_infer_formats  # noqa: E402
 
 from repro.experiments import run_resilience
@@ -67,7 +67,7 @@ RELAXED = (QUICK or _numpy is None
 SPEEDUP_FLOOR = 0.85 if RELAXED else 3.0
 CELL_FLOOR = 0.7 if RELAXED else 1.5
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
+OUTPUT = BENCH_OUT / "BENCH_PR3.json"
 
 
 def _build_trace(key: str, level: int, *, seed: int = 0) -> list[bytes]:
@@ -192,7 +192,7 @@ def test_resilience_scale_suite():
         "overall_speedup_geomean": overall,
         "resilience_end_to_end": resilience,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'level':>5} {'bytes':>6} {'old msg/s':>10} "

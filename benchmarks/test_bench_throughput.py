@@ -16,14 +16,13 @@ obfuscation levels, in three execution modes:
   :class:`~repro.wire.plan.CodecPlan` and every message executes against it
   (the compile-once/execute-many discipline of the paper's generated parsers).
 
-Results are written to ``BENCH_PR2.json`` at the repository root so that the
+Results are written to ``.bench_out/BENCH_PR2.json`` so that the
 performance trajectory of the project is machine-readable.  Set
 ``BENCH_QUICK=1`` to run the reduced CI smoke configuration.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
@@ -33,6 +32,7 @@ from pathlib import Path
 from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_output import BENCH_OUT, write_report  # noqa: E402
 from legacy_wire import LegacyParser, LegacySerializer  # noqa: E402
 
 from repro.protocols import registry
@@ -56,7 +56,7 @@ RELAXED = QUICK or os.environ.get("CI", "").lower() not in ("", "0", "false")
 SPEEDUP_FLOOR = 1.3 if RELAXED else 2.0
 CELL_FLOOR = 0.7 if RELAXED else 1.0
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR2.json"
+OUTPUT = BENCH_OUT / "BENCH_PR2.json"
 
 
 def _measure_cell(graph, messages) -> tuple[float, float, float]:
@@ -161,7 +161,7 @@ def test_throughput_suite():
         "cells": cells,
         "protocols": protocols,
     }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_report(OUTPUT, report)
 
     print()
     print(f"{'protocol':<8} {'level':>5} {'seed':>10} {'uncached':>10} "

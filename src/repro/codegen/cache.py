@@ -4,14 +4,14 @@ Extends the PR-5 discipline — one compiled artifact per obfuscation-plan
 fingerprint, shared across every replay of that plan — from ``CodecPlan``
 objects to whole generated modules.  Two levels:
 
-* an in-process LRU keyed ``(fingerprint, specialized, emitter version)``
-  mapping to the loaded module object, so every session speaking the same
-  dialect executes the exact same compiled code object, and
+* an in-process LRU keyed ``(fingerprint, form, emitter version)`` mapping
+  to the loaded module object, so every session speaking the same dialect
+  executes the exact same compiled code object, and
 * an optional on-disk layer (``REPRO_CODEGEN_CACHE`` or an explicit
   directory) where the emitted *source* is stored as ``codec_<fp>.py`` /
-  ``codec_<fp>_spec.py``, sharing the emission cost across processes.  Files
-  written by an older emitter are refused by the loader's version check and
-  transparently regenerated and overwritten.
+  ``codec_<fp>_spec.py`` / ``codec_<fp>_parse.py``, sharing the emission cost
+  across processes.  Files written by an older emitter are refused by the
+  loader's version check and transparently regenerated and overwritten.
 
 Graphs without a plan fingerprint fall back to the content-derived
 :func:`~repro.core.fingerprint.graph_fingerprint`, so unstamped-but-identical
@@ -30,11 +30,13 @@ from ..core.fingerprint import graph_fingerprint
 from ..core.graph import FormatGraph
 from .emitter import EMITTER_VERSION, generate_module
 from .loader import load_source
+from .specializer import generate_specialized_module
 
-#: Loaded modules keyed ``(fingerprint, specialized, emitter version)``,
-#: least-recently-used first.  Mirrors the plan cache's bound: rotation-heavy
-#: servers cycle through dialects and must not grow the cache without limit.
-_MODULE_CACHE: "OrderedDict[tuple[str, bool, str], types.ModuleType]" = OrderedDict()
+#: Loaded modules keyed ``(fingerprint, form, emitter version)``, where the
+#: form is the file suffix below, least-recently-used first.  Mirrors the
+#: plan cache's bound: rotation-heavy servers cycle through dialects and must
+#: not grow the cache without limit.
+_MODULE_CACHE: "OrderedDict[tuple[str, str, str], types.ModuleType]" = OrderedDict()
 _MODULE_CACHE_CAPACITY = 64
 
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0, "disk_hits": 0}
@@ -58,9 +60,8 @@ def _disk_dir(cache_dir: str | Path | None) -> Path | None:
     return Path(env) if env else None
 
 
-def _disk_path(directory: Path, fingerprint: str, specialized: bool) -> Path:
-    suffix = "_spec" if specialized else ""
-    return directory / f"codec_{fingerprint}{suffix}.py"
+def _disk_path(directory: Path, fingerprint: str, form: str) -> Path:
+    return directory / f"codec_{fingerprint}{form}.py"
 
 
 def _store_disk(path: Path, source: str) -> None:
@@ -72,8 +73,13 @@ def _store_disk(path: Path, source: str) -> None:
 
 
 def cached_module(graph: FormatGraph, *, specialize: bool = True,
+                  parse_only: bool = False,
                   cache_dir: str | Path | None = None) -> types.ModuleType:
     """The loaded (specialized) module of ``graph``, emitted at most once.
+
+    ``parse_only=True`` asks for the specialized parse half alone
+    (``parse_prefix`` / ``parse``), cached under its own key: the stream
+    framer's unit, about half the emission and compile cost of a full module.
 
     Resolution order: in-process LRU → on-disk source (when a cache directory
     is configured) → fresh emission.  Sources read back from disk must carry
@@ -81,7 +87,8 @@ def cached_module(graph: FormatGraph, *, specialize: bool = True,
     instead of being run.
     """
     fingerprint = module_fingerprint(graph)
-    key = (fingerprint, specialize, EMITTER_VERSION)
+    form = "_parse" if parse_only else "_spec" if specialize else ""
+    key = (fingerprint, form, EMITTER_VERSION)
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
@@ -91,7 +98,7 @@ def cached_module(graph: FormatGraph, *, specialize: bool = True,
     directory = _disk_dir(cache_dir)
     source = None
     if directory is not None:
-        path = _disk_path(directory, fingerprint, specialize)
+        path = _disk_path(directory, fingerprint, form)
         if path.is_file():
             try:
                 module = load_source(path.read_text(encoding="utf-8"),
@@ -101,12 +108,16 @@ def cached_module(graph: FormatGraph, *, specialize: bool = True,
                 # Stale emitter version / unstamped / unreadable: regenerate.
                 module = None
     if module is None:
-        source = generate_module(graph, specialize=specialize,
-                                 plan_fingerprint=fingerprint)
+        if parse_only:
+            source = generate_specialized_module(
+                graph, plan_fingerprint=fingerprint, parse_only=True)
+        else:
+            source = generate_module(graph, specialize=specialize,
+                                     plan_fingerprint=fingerprint)
         module = load_source(source)
         if directory is not None:
             try:
-                _store_disk(_disk_path(directory, fingerprint, specialize), source)
+                _store_disk(_disk_path(directory, fingerprint, form), source)
             except OSError:
                 pass  # a read-only cache dir degrades to in-memory caching
     while len(_MODULE_CACHE) >= _MODULE_CACHE_CAPACITY:

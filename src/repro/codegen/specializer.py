@@ -3,8 +3,11 @@
 Where :func:`repro.codegen.emitter.generate_module` emits a *readable mirror*
 of the interpreted runtime (one function per graph node, dict-based piece
 assembly), this module compiles a format graph into **straight-line code**:
-one ``parse`` and one ``serialize`` function with every graph-level decision
-resolved at emit time.
+one parse body and one ``serialize`` function with every graph-level
+decision resolved at emit time.  The parse body is ``parse_prefix(data,
+start, stream)``, returning the message and its end offset; ``parse`` wraps it
+with the trailing-bytes check.  ``parse_only=True`` emits the parse half
+alone, the unit the stream framer runs (:mod:`repro.wire.streaming`).
 
 * the parser runs over the raw ``bytes`` buffer with explicit offset/limit
   variables instead of :class:`~repro.wire.window.Window` objects; mirrored
@@ -99,15 +102,18 @@ def _chain_literal(chain: tuple[ValueOp, ...]) -> str:
 class _Win:
     """Names of the buffer/offset/limit variables of the current byte window."""
 
-    __slots__ = ("buf", "off", "end", "mv")
+    __slots__ = ("buf", "off", "end", "mv", "top")
 
-    def __init__(self, buf: str, off: str, end: str, mv: str | None = None):
+    def __init__(self, buf: str, off: str, end: str, mv: str | None = None,
+                 top: bool = False):
         self.buf = buf
         self.off = off
         self.end = end
         #: name of the buffer's memoryview variable (zero-copy mirrored
         #: region extraction), when one was emitted for this buffer.
         self.mv = mv
+        #: the message's top window, whose end a stream parse may not trust.
+        self.top = top
 
     def bounded(self, end: str) -> "_Win":
         return _Win(self.buf, self.off, end, self.mv)
@@ -857,6 +863,13 @@ class _SpecEmitter:
             self.w(f"{loop} += 1")
             self._ploops.pop()
             self.ind -= 1
+            if st.top:
+                # On a stream the top window ends where the bytes received so
+                # far end: a loop that stopped there, or probed for the
+                # terminator across it, may not have seen its whole extent.
+                self.w(f"if stream and {st.off} + {max(len(term), 1)} > {st.end}:")
+                self.w(f"    raise _E('stream ends inside delimited repetition',"
+                       f" {st.off}, {node.name!r})")
             self.w(f"if {st.buf}.startswith({term!r}, {st.off}, {st.end}):")
             self.w(f"    {st.off} += {len(term)}")
         else:
@@ -1268,13 +1281,14 @@ class _SpecEmitter:
     # module assembly
     # ======================================================================
 
-    def emit(self) -> str:
+    def emit(self, *, parse_only: bool = False) -> str:
         parse_body = self._emit_parse_body()
-        serialize_body = self._emit_serialize_body()
+        serialize_body = [] if parse_only else self._emit_serialize_body()
         lines: list[str] = []
         stats = self.graph.stats()
+        kind = "parser" if parse_only else "serialization library"
         lines.append(
-            f'"""Specialized serialization library for protocol '
+            f'"""Specialized {kind} for protocol '
             f"{self.graph.name!r}.\n\n"
             f"Automatically generated by repro.codegen (specializing emitter) "
             f"— do not edit.\n"
@@ -1291,8 +1305,9 @@ class _SpecEmitter:
         lines.append(self._emit_constants())
         lines.extend(parse_body)
         lines.append("")
-        lines.extend(serialize_body)
-        lines.append("")
+        if serialize_body:
+            lines.extend(serialize_body)
+            lines.append("")
         return "\n".join(lines) + "\n"
 
     def _emit_parse_body(self) -> list[str]:
@@ -1303,16 +1318,21 @@ class _SpecEmitter:
         mv = None
         if any(node.mirrored for node in self.nodes):
             mv = "mv"
-        root_state = _Win("data", "o", "e", mv)
+        root_state = _Win("data", "o", "e", mv, top=True)
         self._p_node(self.graph.root, root_state)
         body = self.cur
         out = ["", ""]
-        out.append("def parse(data, strict=True):")
-        out.append('    """Parse wire bytes back into the logical message '
-                   '(nested dict)."""')
+        out.append("def parse_prefix(data, start=0, stream=False):")
+        out.append('    """Parse one message at ``data[start:]``; return it '
+                   'and its end offset.')
+        out.append("")
+        out.append("    ``stream=True`` fails wherever the top window's end, "
+                   "the end of the")
+        out.append("    bytes received so far, would decide the answer.")
+        out.append('    """')
         out.append("    if type(data) is not bytes:")
         out.append("        data = bytes(data)")
-        out.append("    o = 0")
+        out.append("    o = start")
         out.append("    e = len(data)")
         if mv is not None:
             out.append("    mv = memoryview(data)")
@@ -1320,9 +1340,16 @@ class _SpecEmitter:
         for decl in sorted(self._pdecls):
             out.append(f"    {decl} = None")
         out.extend(body)
-        out.append("    if strict and o != e:")
+        out.append("    return msg, o")
+        out.append("")
+        out.append("")
+        out.append("def parse(data, strict=True):")
+        out.append('    """Parse wire bytes back into the logical message '
+                   '(nested dict)."""')
+        out.append("    msg, o = parse_prefix(data)")
+        out.append("    if strict and o != len(data):")
         out.append("        raise _E('%d trailing byte(s) after the message'"
-                   " % (e - o), o, None)")
+                   " % (len(data) - o), o, None)")
         out.append("    return msg")
         return out
 
@@ -1614,14 +1641,17 @@ def _enc_value(value, kind, size, endian, name, delimiter):
 def generate_specialized_module(graph: FormatGraph, *,
                                 plan_fingerprint: str | None = None,
                                 codec_key: str | None = None,
-                                emitter_version: str | None = None) -> str:
+                                emitter_version: str | None = None,
+                                parse_only: bool = False) -> str:
     """Emit the specialized (straight-line, struct-fused) codec for ``graph``.
 
     The module exposes the same ``serialize(message, rng=None)`` /
-    ``parse(data, strict=True)`` API as the readable generated library, is
+    ``parse(data, strict=True)`` API as the readable generated library, plus
+    ``parse_prefix(data, start=0, stream=False) -> (message, end)``; it is
     stamped with ``__specialized__ = True`` plus the emitter version, and
     raises ``GeneratedCodecError`` with the interpreted runtime's exact error
-    message, offset and node identity.
+    message, offset and node identity.  ``parse_only=True`` leaves the
+    serialize half out.
     """
     from .emitter import EMITTER_VERSION
 
@@ -1632,4 +1662,4 @@ def generate_specialized_module(graph: FormatGraph, *,
         emitter_version=(
             emitter_version if emitter_version is not None else EMITTER_VERSION
         ),
-    ).emit()
+    ).emit(parse_only=parse_only)

@@ -23,6 +23,7 @@ Examples
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import MessageError
@@ -88,18 +89,13 @@ class FieldPath:
 
     @classmethod
     def parse(cls, text: str) -> "FieldPath":
-        """Parse a dotted path such as ``"headers[*].name"``."""
-        if text == "":
-            return cls(())
-        steps: list[Step] = []
-        for part in text.split("."):
-            match = _STEP_RE.fullmatch(part)
-            if match is None:
-                raise MessageError(f"invalid field path segment: {part!r} in {text!r}")
-            steps.append(match.group(1))
-            for bracket in _BRACKET_RE.findall(match.group(2)):
-                steps.append(INDEX if bracket == "*" else int(bracket))
-        return cls(steps)
+        """Parse a dotted path such as ``"headers[*].name"``.
+
+        Memoized per string: paths are immutable, and ``Message.get``/``set``
+        re-parse their string paths on every call.  An invalid path is not
+        cached and raises on every call.
+        """
+        return _parse_path(text)
 
     @classmethod
     def of(cls, value: "FieldPath | str | Iterable[Step]") -> "FieldPath":
@@ -209,6 +205,21 @@ class FieldPath:
             else:
                 out.append(f"[{step}]")
         return "".join(out)
+
+
+@lru_cache(maxsize=4096)
+def _parse_path(text: str) -> FieldPath:
+    if text == "":
+        return FieldPath(())
+    steps: list[Step] = []
+    for part in text.split("."):
+        match = _STEP_RE.fullmatch(part)
+        if match is None:
+            raise MessageError(f"invalid field path segment: {part!r} in {text!r}")
+        steps.append(match.group(1))
+        for bracket in _BRACKET_RE.findall(match.group(2)):
+            steps.append(INDEX if bracket == "*" else int(bracket))
+    return FieldPath(steps)
 
 
 #: The empty path, i.e. the whole message.

@@ -4,7 +4,8 @@ Two framings move protocol messages across a byte stream:
 
 * **native** — messages ride back-to-back with no envelope; the receiver
   frames them with :class:`~repro.wire.streaming.StreamingDecoder`, which
-  runs the reference parser over a prefix of the buffered bytes.
+  parses a prefix of the buffered bytes: the specialized compiled unit
+  first, the reference parser for whatever the unit refuses.
   Requires the format graph to be *self-framing*
   (:func:`~repro.wire.streaming.is_self_framing`): its parse must never
   consult the end of the stream.
@@ -443,9 +444,9 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     ``max_record_size`` additionally overrides the record-size ceiling.
     ``parser_factory`` (graph → object with ``parse(payload, strict=True)``)
     swaps whole-record parsing to an alternative codec tier — the specialized
-    compiled modules in practice.  Record framing only: native framing finds
-    message ends with the reference parser's prefix parse, which the
-    compiled tier does not offer.
+    compiled modules in practice.  Record framing only: native framing's
+    stream decoder always runs the specialized prefix parse first, falling
+    back to the reference parser for truncations and errors.
     """
     if framing == "native":
         if key_resolver is not None:

@@ -434,10 +434,10 @@ class _Endpoint:
         self.response_plan = plan_for(self.response_graph)
         self.request_framing = resolve_framing(self.request_graph, framing)
         self.response_framing = resolve_framing(self.response_graph, framing)
-        #: run this endpoint's codecs on the specialized compiled tier:
-        #: serializers use the straight-line emitted modules, and (under
-        #: record framing) whole-record parsing does too.  Byte- and
-        #: error-identical to the interpreted runtime, several times faster.
+        #: run this endpoint's serializers and record-framed parsing on the
+        #: specialized compiled tier (native framing's stream decoder uses
+        #: it whatever this says).  Byte- and error-identical to the
+        #: interpreted runtime, several times faster.
         self.specialize = specialize
         self.seed = seed
         self.capture = capture
@@ -468,8 +468,7 @@ class _Endpoint:
 
         Specialized endpoints decode whole record payloads through the
         compiled tier.  Native framing gets no factory: its stream decoder
-        frames messages with the reference parser's prefix parse, which the
-        compiled tier does not offer.
+        runs the specialized prefix parse first on its own.
         """
         if not self.specialize or framing != "record":
             return None

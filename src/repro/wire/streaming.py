@@ -15,6 +15,20 @@ end-of-stream the rest is parsed with ordinary closed windows, so a message
 cut short fails with exactly the error ``Parser.parse`` reports for its
 bytes.
 
+Fast path.  For a self-framing graph the decoder also holds the graph's
+specialized parse unit (``parse_prefix`` of :mod:`repro.codegen.specializer`,
+compiled once per dialect fingerprint through the module cache) and runs it
+first on every open-window attempt.  Its answer is exact.  A self-framing
+graph's top level consults the end of the bytes received only to fail, with
+one exception: a top-level delimited repetition may stop at that end, and
+``stream=True`` makes the compiled loop fail there too.  So a parse that
+succeeds over the buffered bytes is the answer the open window would give.
+When the unit fails, the reference attempt above runs and alone decides:
+the truncation (the offset to wait for, the delimiter wait, the
+``declared_bytes`` refusal), and the error text, offset and node.  Greedy
+graphs and the closed windows of :meth:`StreamingDecoder.feed_eof` keep the
+reference parser only.
+
 Framing caveat — *greedy* graphs.  A graph whose parse consults the end of
 the enclosing window at the top level (an END-bounded terminal such as the
 HTTP body, or an Optional without a presence reference) cannot be framed on
@@ -171,6 +185,17 @@ class StreamingDecoder:
     def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
                  budget=None):
         self.parser = Parser(graph, plan=plan)
+        #: the specialized ``parse_prefix`` tried first on open windows, and
+        #: the error it fails with (``None``: a greedy graph, reference only).
+        self._compiled = self._compiled_error = None
+        if is_self_framing(graph):
+            # Imported here: a process that frames no stream never compiles
+            # the code generator.
+            from ..codegen.cache import cached_module
+
+            unit = cached_module(graph, parse_only=True)
+            self._compiled = unit.parse_prefix
+            self._compiled_error = unit.GeneratedCodecError
         self._max_stream = getattr(budget, "max_stream_bytes", None)
         self._max_declared = getattr(budget, "max_declared_bytes", None)
         self._max_steps = getattr(budget, "max_steps_per_feed", None)
@@ -254,7 +279,7 @@ class StreamingDecoder:
         self._attempts = pos = 0
         while len(data) - pos >= self._need:
             try:
-                message, end = self.parser.parse_prefix(window_type(data, pos))
+                message, end = self._parse_at(data, pos, window_type)
             except _Truncated as cut:
                 if (cut.declared is not None and self._max_declared is not None
                         and cut.declared > self._max_declared):
@@ -288,6 +313,21 @@ class StreamingDecoder:
             self._count_attempt()
         del self._buffer[:pos]
         return completed
+
+    def _parse_at(self, data: bytes, pos: int, window_type: type[Window]
+                  ) -> tuple[Message, int]:
+        """One parse attempt of the message starting at ``data[pos]``.
+
+        On an open window the compiled unit answers whenever it succeeds;
+        everything it refuses goes to the reference parser.
+        """
+        if self._compiled is not None and window_type is _OpenWindow:
+            try:
+                logical, end = self._compiled(data, pos, True)
+                return Message(logical), end
+            except self._compiled_error:
+                pass
+        return self.parser.parse_prefix(window_type(data, pos))
 
     def _wait(self, cut: _Truncated, pos: int, held: int) -> None:
         """Park the message starting at ``pos`` until ``cut`` can be met.

@@ -35,6 +35,14 @@ class TestParsing:
         with pytest.raises(MessageError):
             FieldPath.parse(".name")
 
+    def test_parse_is_memoized_per_string(self):
+        assert FieldPath.parse("headers[*].name") is FieldPath.parse("headers[*].name")
+
+    def test_invalid_path_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(MessageError, match="invalid field path segment"):
+                FieldPath.parse("a..b")
+
     def test_of_accepts_path_string_and_steps(self):
         path = FieldPath.parse("a.b")
         assert FieldPath.of(path) is path

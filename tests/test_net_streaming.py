@@ -17,7 +17,12 @@ from random import Random
 import pytest
 
 from repro.core.errors import ParseError, StreamError
-from repro.net.framing import RecordDecoder, encode_record, resolve_framing
+from repro.net.framing import (
+    RecordDecoder,
+    encode_record,
+    make_decoder,
+    resolve_framing,
+)
 from repro.protocols import registry
 from repro.spec import parse_spec
 from repro.transforms.engine import Obfuscator
@@ -272,6 +277,52 @@ def test_needs_more_reporting():
     decoder.feed(data[4:])
     assert not decoder.needs_more and decoder.buffered == 0
     assert decoder.feed_eof() == []
+
+
+# ---------------------------------------------------------------------------
+# the compiled fast path
+# ---------------------------------------------------------------------------
+
+
+def test_whole_messages_frame_without_the_reference_parser(monkeypatch):
+    """One whole native message per feed is answered by the compiled unit."""
+    setup = registry.get("modbus")
+    graph = Obfuscator(seed=3).obfuscate(setup.graph_factory(), 2).graph
+    assert resolve_framing(graph, "auto") == "native"
+    codec = WireCodec(graph, seed=2)
+    rng = Random(9)
+    wires = [codec.serialize(setup.message_generator(rng)) for _ in range(20)]
+    expected = [codec.parse(wire) for wire in wires]
+    decoder = make_decoder(graph, "native")
+    calls = []
+    reference = Parser.parse_prefix
+
+    def counting(self, window):
+        calls.append(window.cursor)
+        return reference(self, window)
+
+    monkeypatch.setattr(Parser, "parse_prefix", counting)
+    decoded = [frame for wire in wires for frame in decoder.feed(wire)]
+    assert [frame.raw for frame in decoded] == wires
+    assert [frame.message for frame in decoded] == expected
+    assert calls == []
+
+
+def test_greedy_graph_holds_its_body_until_end_of_stream():
+    """Greedy graphs keep the reference semantics: END waits for EOF."""
+    setup = registry.get("http")
+    graph = setup.graph_factory()
+    assert not is_self_framing(graph)
+    codec = WireCodec(graph, seed=1)
+    message = setup.message_generator(Random(1))
+    assert message.get("request_body")
+    wire = codec.serialize(message)
+    decoder = StreamingDecoder(graph)
+    assert decoder.feed(wire) == []
+    assert decoder.needs_more and decoder.buffered == len(wire)
+    decoded = decoder.feed_eof()
+    assert [frame.raw for frame in decoded] == [wire]
+    assert decoded[0].message == message
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,34 @@ from repro.codegen import (
     module_cache_stats,
 )
 from repro.core.errors import CodegenError, ParseError, SerializationError
+from repro.core.message import Message
 from repro.protocols import registry
+from repro.spec import parse_spec
 from repro.transforms import Obfuscator
 from repro.wire import WireCodec
 from repro.wire.parser import Parser
 from repro.wire.serializer import Serializer
+from repro.wire.streaming import _OpenWindow, decode_stream, is_self_framing
 
 LEVELS = [0, 1, 2, 3, 4]
+
+#: Registry graphs framed natively on a stream (every protocol but HTTP).
+SELF_FRAMING_CASES = [
+    (f"{setup.key}_{direction}", graph_factory, generator)
+    for setup in registry.setups()
+    for direction, graph_factory, generator in setup.directions()
+    if is_self_framing(setup.reference_graph(direction))
+]
+
+TAGS_SPEC = '''
+protocol tags;
+message tag_msg {
+    uint kind : 1;
+    repetition tags delimited("\\0\\0") {
+        uint tag : 1;
+    }
+}
+'''
 
 
 def dialect(graph_factory, level: int, *, seed: int = 1234):
@@ -167,6 +188,76 @@ class TestErrorParity:
             assert type(caught.value) is type(exc)
         else:
             assert specialized.parse(data) == expected
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("case", SELF_FRAMING_CASES,
+                             ids=[case[0] for case in SELF_FRAMING_CASES])
+    def test_prefix_parse_is_sound_on_a_stream(self, case, level, rng):
+        """The compiled prefix parse fails or gives the open window's answer.
+
+        The stream framer trusts any success of the compiled
+        ``parse_prefix(data, start, stream=True)`` over the bytes received
+        so far, so on every prefix of one message followed by half of the
+        next, plain and bit-flipped, it must either raise
+        ``GeneratedCodecError`` or return exactly what the reference
+        parser's prefix parse returns over an open window.
+        """
+        _, graph_factory, generator = case
+        graph = dialect(graph_factory, level)
+        assert is_self_framing(graph)
+        unit = cached_module(graph, parse_only=True)
+        parser = Parser(graph)
+        serializer = Serializer(graph, rng=Random(5))
+        fuzz = Random(0x5EED + level)
+        lead = b"\xa5" * 3  # parse from a nonzero start, as the framer does
+        successes = 0
+        for _ in range(3):
+            first, second = (serializer.serialize(generator(rng))
+                             for _ in range(2))
+            stream = first + second[: len(second) // 2]
+            flipped = bytearray(stream)
+            flipped[fuzz.randrange(len(stream))] ^= 1 << fuzz.randrange(8)
+            for variant in (stream, bytes(flipped)):
+                for cut in range(len(variant) + 1):
+                    data = lead + variant[:cut]
+                    try:
+                        logical, end = unit.parse_prefix(data, len(lead), True)
+                    except unit.GeneratedCodecError:
+                        continue
+                    successes += 1
+                    expected = parser.parse_prefix(_OpenWindow(data, len(lead)))
+                    assert (Message(logical), end) == expected
+        assert successes
+
+    def test_prefix_parse_waits_at_a_top_level_delimited_repetition(self):
+        """A stream may end inside a top-level delimited list, not after it.
+
+        Closed, ``01 05 06`` parses as a whole message with a two-tag list;
+        on a stream the two-byte terminator may still be on its way.  The
+        graph comes from the DSL so that the list is the message's last
+        field.
+        """
+        graph = parse_spec(TAGS_SPEC)
+        assert is_self_framing(graph)
+        unit = cached_module(graph, parse_only=True)
+        parser = Parser(graph)
+        wire = Serializer(graph, rng=Random(0)).serialize(
+            Message({"kind": 1, "tags": [5, 6]}))
+        assert wire == b"\x01\x05\x06\x00\x00"
+        assert unit.parse(wire[:3]) == parser.parse(wire[:3]).raw
+        stream = wire + wire
+        for cut in range(len(stream) + 1):
+            data = stream[:cut]
+            try:
+                logical, end = unit.parse_prefix(data, 0, True)
+            except unit.GeneratedCodecError:
+                assert cut < len(wire)
+                continue
+            assert (Message(logical), end) == parser.parse_prefix(
+                _OpenWindow(data))
+            assert end == len(wire)
+        dripped = decode_stream(graph, (bytes([byte]) for byte in stream))
+        assert [frame.raw for frame in dripped] == [wire, wire]
 
     def test_trailing_bytes_strict_and_lenient(self, modbus_request_graph, rng):
         codec = SpecializedCodec(modbus_request_graph, seed=0)
