@@ -4,8 +4,10 @@ One obfuscated dialect is compiled by the specializing emitter into a
 straight-line module (`repro.codegen.generate_specialized_module`) shared
 per plan fingerprint through the module cache, proven byte-identical to the
 interpreted runtime, benchmarked against it, and then used to serve live
-obfuscated sessions over a memory pipe (`specialize=True` on the transport
-endpoints) — same wire bytes, a fraction of the codec time.
+obfuscated sessions over a memory pipe — same wire bytes, a fraction of the
+codec time.  Session decoders always parse through the specialized unit;
+`specialize=True` on the transport endpoints moves their serializers onto
+it too.
 
 Run with:  python examples/native_codec_session.py [protocol] [passes]
 (default: modbus, 2 obfuscating transformations per node)
@@ -105,8 +107,8 @@ def main() -> None:
     spec_rate, spec_wire = asyncio.run(sessions(True))
     assert interp_wire == spec_wire, "specialized sessions diverged on the wire"
     print(f"\nlive sessions ({NET_REQUESTS} record-framed requests, memory pipe):")
-    print(f"  interpreted codecs  {interp_rate:>8,.0f} reqs/sec")
-    print(f"  specialized codecs  {spec_rate:>8,.0f} reqs/sec "
+    print(f"  interpreted serializers  {interp_rate:>8,.0f} reqs/sec")
+    print(f"  specialized serializers  {spec_rate:>8,.0f} reqs/sec "
           f"({spec_rate / interp_rate:.2f}x, identical wire bytes)")
 
     # --- and the drop-in wrapper ------------------------------------------

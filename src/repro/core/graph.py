@@ -10,7 +10,7 @@ cloning and structural statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .boundary import BoundaryKind
 from .errors import GraphError
@@ -211,7 +211,8 @@ def parse_window_known(node: Node) -> bool:
     return static_size(node) is not None
 
 
-def is_greedy(node: Node) -> bool:
+def is_greedy(node: Node,
+              child_greedy: Callable[[Node], bool] | None = None) -> bool:
     """True when parsing ``node`` consumes the rest of its enclosing window.
 
     Greedy nodes (END-bounded terminals and repetitions, Optionals whose
@@ -219,7 +220,11 @@ def is_greedy(node: Node) -> bool:
     node) can only appear in tail position: anything serialized after them in
     the same window would be swallowed during parsing.  The window-layout
     validation rule and the ordering transformations rely on this predicate.
+    ``child_greedy`` answers for the children (default: this predicate,
+    recursively); validation passes the answers it already holds.
     """
+    if child_greedy is None:
+        child_greedy = is_greedy
     kind = node.boundary.kind
     if kind in (
         BoundaryKind.FIXED,
@@ -235,6 +240,6 @@ def is_greedy(node: Node) -> bool:
     if node.type is NodeType.TABULAR:
         return False
     if node.type is NodeType.OPTIONAL:
-        return node.presence_ref is None or is_greedy(node.children[0])
+        return node.presence_ref is None or child_greedy(node.children[0])
     # Sequence with a DELEGATED or END boundary: greedy when any child is.
-    return any(is_greedy(child) for child in node.children)
+    return any(child_greedy(child) for child in node.children)

@@ -32,34 +32,34 @@ _REPETITION_BOUNDARIES = frozenset(
 
 def validate_graph(graph: FormatGraph) -> None:
     """Raise :class:`GraphError` when ``graph`` violates any structural rule."""
-    node_map = graph.node_map()  # also detects duplicate names
-    order = graph.pre_order_index()
-    ref_targets = _collect_ref_targets(graph)
+    # One traversal: every rule below reads this pre-order list.
+    nodes = list(graph.nodes())
+    node_map: dict[str, Node] = {}
+    order: dict[str, int] = {}
+    ref_targets: set[str] = set()
+    for index, node in enumerate(nodes):
+        if node.name in node_map:
+            raise GraphError(f"duplicate node name {node.name!r} in graph {graph.name!r}")
+        node_map[node.name] = node
+        order[node.name] = index
+        if node.boundary.kind in (BoundaryKind.LENGTH, BoundaryKind.COUNTER):
+            ref_targets.add(node.boundary.ref)  # type: ignore[arg-type]
 
-    for node in graph.nodes():
+    for node in nodes:
         _check_parent_links(node)
         _check_type_shape(node)
         _check_boundary_compatibility(node)
         _check_terminal_details(node, ref_targets)
-        _check_references(graph, node, node_map, order)
+        _check_references(node, node_map, order)
         _check_obfuscation_metadata(node)
 
-    _check_length_target_uniqueness(graph)
-    _check_window_layout(graph)
+    _check_length_target_uniqueness(nodes)
+    _check_window_layout(graph.root, _greedy_map(nodes))
 
 
 # ---------------------------------------------------------------------------
 # individual rules
 # ---------------------------------------------------------------------------
-
-
-def _collect_ref_targets(graph: FormatGraph) -> set[str]:
-    """Names of the terminals targeted by a LENGTH or COUNTER boundary."""
-    targets: set[str] = set()
-    for node in graph.nodes():
-        if node.boundary.kind in (BoundaryKind.LENGTH, BoundaryKind.COUNTER):
-            targets.add(node.boundary.ref)  # type: ignore[arg-type]
-    return targets
 
 
 def _check_parent_links(node: Node) -> None:
@@ -124,7 +124,6 @@ def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
 
 
 def _check_references(
-    graph: FormatGraph,
     node: Node,
     node_map: dict[str, Node],
     order: dict[str, int],
@@ -203,7 +202,23 @@ def _check_obfuscation_metadata(node: Node) -> None:
                 )
 
 
-def _check_window_layout(graph: FormatGraph) -> None:
+def _greedy_map(nodes: list[Node]) -> dict[int, bool]:
+    """:func:`~repro.core.graph.is_greedy` of every node, keyed by ``id``.
+
+    ``nodes`` is in pre-order, so walking it backwards settles every child
+    before its parent: one pass instead of a recursive walk per node.
+    """
+    greedy: dict[int, bool] = {}
+
+    def settled(child: Node) -> bool:
+        return greedy[id(child)]
+
+    for node in reversed(nodes):
+        greedy[id(node)] = is_greedy(node, settled)
+    return greedy
+
+
+def _check_window_layout(root: Node, greedy: dict[int, bool]) -> None:
     """Greedy nodes (END/remaining-bytes semantics) must sit in tail position.
 
     A node whose parsing consumes the rest of its enclosing window (END
@@ -211,11 +226,11 @@ def _check_window_layout(graph: FormatGraph) -> None:
     one) must not be followed by any sibling content in the same window,
     otherwise the parser would swallow that content.  Nodes that open their
     own window (Length boundary, mirrored regions) reset the rule for their
-    children.
+    children.  ``greedy`` is :func:`_greedy_map` of the graph.
     """
 
     def visit(node: Node, tail_allowed: bool) -> None:
-        if is_greedy(node) and not tail_allowed:
+        if greedy[id(node)] and not tail_allowed:
             raise GraphError(
                 f"greedy node {node.name!r} is not in tail position of its window"
             )
@@ -231,13 +246,13 @@ def _check_window_layout(graph: FormatGraph) -> None:
             # terminator) may follow the current one.
             visit(node.children[0], False)
 
-    visit(graph.root, True)
+    visit(root, True)
 
 
-def _check_length_target_uniqueness(graph: FormatGraph) -> None:
+def _check_length_target_uniqueness(nodes: list[Node]) -> None:
     """A terminal may back at most one LENGTH boundary (counters may be shared)."""
     length_sources: dict[str, str] = {}
-    for node in graph.nodes():
+    for node in nodes:
         if node.boundary.kind is BoundaryKind.LENGTH:
             ref = node.boundary.ref  # type: ignore[assignment]
             previous = length_sources.get(ref)

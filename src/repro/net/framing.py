@@ -12,6 +12,8 @@ Two framings move protocol messages across a byte stream:
 * **record** — each message is wrapped in a 4-byte big-endian length-prefixed
   record (the TLS-record / websocket-frame construction).  Works for every
   graph, including stream-greedy ones like HTTP with its END-bounded body.
+  :class:`RecordDecoder` parses each whole payload with the same specialized
+  unit first, the reference parser only for a payload the unit refuses.
 
 ``"auto"`` picks native when the graph allows it and record otherwise, which
 is what the session layer defaults to.  The capture layer always records the
@@ -35,7 +37,9 @@ from typing import Callable
 
 from ..core.errors import BudgetExceeded, ParseError, StreamError
 from ..core.graph import FormatGraph
-from ..wire.plan import CodecPlan, plan_for
+from ..core.message import Message
+from ..wire.parser import Parser
+from ..wire.plan import CodecPlan
 from ..wire.streaming import DecodedMessage, StreamingDecoder, is_self_framing
 
 #: Width of the record-framing length prefix (bytes, big-endian).
@@ -174,11 +178,20 @@ class RecordDecoder:
     reported stream offsets are *payload* offsets so captures and decoders
     agree on extents.
 
+    That parse runs the graph's specialized parse unit (``parse`` of
+    :mod:`repro.codegen.specializer`, compiled once per dialect fingerprint
+    through the module cache) and keeps its answer whenever it succeeds.  A
+    payload the unit refuses is parsed again by the reference
+    :class:`~repro.wire.parser.Parser`, whose error alone decides the
+    :class:`StreamError` or :class:`CorruptRecord` reported, with its text,
+    offset and node.  The unit is loaded in the constructor, by
+    :meth:`rotate_to` and on every inbound rotation record.
+
     With a ``key_resolver`` the decoder additionally understands rotation
     control records (:func:`encode_rotation`): the resolver maps the announced
-    key id to the new format graph, the decoder swaps its parser at that exact
-    record boundary, and a :class:`RotationEvent` is emitted in stream order
-    so the consumer can rotate its own sending side in step.  Without a
+    key id to the new format graph, the decoder swaps its parse unit at that
+    exact record boundary, and a :class:`RotationEvent` is emitted in stream
+    order so the consumer can rotate its own sending side in step.  Without a
     resolver a rotation record is a hard :class:`StreamError` — an endpoint
     that does not hold the plan book cannot follow the key change.
 
@@ -202,7 +215,7 @@ class RecordDecoder:
     def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
                  key_resolver: "Callable[[str], FormatGraph] | None" = None,
                  resync: bool = False, max_record_size: int | None = None,
-                 budget=None, parser_factory=None):
+                 budget=None):
         if max_record_size is None:
             max_record_size = getattr(budget, "max_declared_bytes", None)
         if max_record_size is None:
@@ -212,12 +225,7 @@ class RecordDecoder:
                 f"max_record_size must be in 1..{BUSY_SENTINEL - 1} "
                 f"({max_record_size}): the control-record sentinels live above"
             )
-        self.graph = graph
-        #: graph -> parser-like (``parse(payload, strict=True)``); lets a
-        #: session swap in the specialized compiled codec tier, including
-        #: across rotations (the factory is re-invoked per rotated-to graph).
-        self._parser_factory = parser_factory
-        self._parser = self._make_parser(graph, plan)
+        self._load(graph, plan)
         self._key_resolver = key_resolver
         self.resync = resync
         self.max_record_size = max_record_size
@@ -238,12 +246,24 @@ class RecordDecoder:
         self._payload_offset = 0
         self._failed: StreamError | None = None
 
-    def _make_parser(self, graph: FormatGraph, plan: "CodecPlan | None" = None):
-        if self._parser_factory is not None:
-            return self._parser_factory(graph)
-        from ..wire.parser import Parser  # local: keeps module import light
+    def _load(self, graph: FormatGraph, plan: "CodecPlan | None" = None) -> None:
+        """Decode ``graph`` from now on: its compiled parse unit first."""
+        # Imported here: a process that decodes no record never compiles the
+        # code generator.
+        from ..codegen.cache import cached_module
 
-        return Parser(graph, plan=plan if plan is not None else plan_for(graph))
+        unit = cached_module(graph, parse_only=True)
+        self.graph = graph
+        self._unit_parse = unit.parse
+        self._unit_error = unit.GeneratedCodecError
+        self._parser = Parser(graph, plan=plan)
+
+    def _parse(self, payload: bytes) -> Message:
+        """Strict parse of one whole record payload: unit, then reference."""
+        try:
+            return Message(self._unit_parse(payload, True))
+        except self._unit_error:
+            return self._parser.parse(payload, strict=True)
 
     @property
     def needs_more(self) -> bool:
@@ -302,7 +322,7 @@ class RecordDecoder:
         Used by an endpoint rotating its *receiving* direction locally (the
         client after announcing a rotation): refuses to switch while bytes of
         the old dialect are still buffered — rotate at a quiescent message
-        boundary.  Inbound rotation control records switch the parser
+        boundary.  Inbound rotation control records switch the parse unit
         directly instead, because bytes buffered *behind* the control record
         already belong to the new dialect.
         """
@@ -312,8 +332,7 @@ class RecordDecoder:
                 f"of the previous dialect still buffered; drain in-flight "
                 f"records first"
             )
-        self.graph = graph
-        self._parser = self._make_parser(graph, plan)
+        self._load(graph, plan)
         self.current_key = key_id
 
     def _drain(self) -> "list[DecodedMessage | RotationEvent | CorruptRecord | BusyEvent]":
@@ -350,8 +369,7 @@ class RecordDecoder:
                     )) from exc
                 # Swap directly: any bytes buffered behind the control record
                 # were serialized under the new dialect by stream order.
-                self.graph = graph
-                self._parser = self._make_parser(graph)
+                self._load(graph)
                 self.current_key = key_id
                 self.rotations += 1
                 completed.append(RotationEvent(key_id))
@@ -387,7 +405,7 @@ class RecordDecoder:
             payload = bytes(self._buffer[RECORD_HEADER : RECORD_HEADER + size])
             del self._buffer[: RECORD_HEADER + size]
             try:
-                message = self._parser.parse(payload, strict=True)
+                message = self._parse(payload)
             except ParseError as exc:
                 wrapped = StreamError(
                     f"undecodable record payload: {exc}",
@@ -430,8 +448,7 @@ def make_decoder(graph: FormatGraph, framing: str, *,
                  plan: CodecPlan | None = None,
                  key_resolver: "Callable[[str], FormatGraph] | None" = None,
                  resync: bool = False, budget=None,
-                 max_record_size: int | None = None,
-                 parser_factory=None):
+                 max_record_size: int | None = None):
     """Instantiate the incremental decoder matching a resolved framing.
 
     ``key_resolver`` enables rotation control records; only record framing
@@ -442,11 +459,8 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     ``budget`` (a :class:`~repro.net.governance.ResourceBudget` or any
     duck-typed equivalent) threads per-session limits into either decoder;
     ``max_record_size`` additionally overrides the record-size ceiling.
-    ``parser_factory`` (graph → object with ``parse(payload, strict=True)``)
-    swaps whole-record parsing to an alternative codec tier — the specialized
-    compiled modules in practice.  Record framing only: native framing's
-    stream decoder always runs the specialized prefix parse first, falling
-    back to the reference parser for truncations and errors.
+    Either decoder parses through the graph's specialized parse unit first
+    and leaves only truncations and errors to the reference parser.
     """
     if framing == "native":
         if key_resolver is not None:
@@ -463,8 +477,7 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     if framing == "record":
         return RecordDecoder(graph, plan=plan, key_resolver=key_resolver,
                              resync=resync, budget=budget,
-                             max_record_size=max_record_size,
-                             parser_factory=parser_factory)
+                             max_record_size=max_record_size)
     raise ValueError(f"unresolved framing {framing!r}")
 
 

@@ -434,10 +434,10 @@ class _Endpoint:
         self.response_plan = plan_for(self.response_graph)
         self.request_framing = resolve_framing(self.request_graph, framing)
         self.response_framing = resolve_framing(self.response_graph, framing)
-        #: run this endpoint's serializers and record-framed parsing on the
-        #: specialized compiled tier (native framing's stream decoder uses
-        #: it whatever this says).  Byte- and error-identical to the
-        #: interpreted runtime, several times faster.
+        #: run this endpoint's serializers on the specialized compiled tier
+        #: (both framings' decoders parse through it whatever this says).
+        #: Byte- and error-identical to the interpreted runtime, several
+        #: times faster.
         self.specialize = specialize
         self.seed = seed
         self.capture = capture
@@ -462,24 +462,6 @@ class _Endpoint:
         if self.specialize:
             return _SpecializedSerializer(graph, rng=Random(self.seed))
         return Serializer(graph, rng=Random(self.seed), plan=plan_for(graph))
-
-    def parser_factory(self, framing: str):
-        """The decoder's parser factory for one direction's resolved framing.
-
-        Specialized endpoints decode whole record payloads through the
-        compiled tier.  Native framing gets no factory: its stream decoder
-        runs the specialized prefix parse first on its own.
-        """
-        if not self.specialize or framing != "record":
-            return None
-
-        from ..codegen.cache import cached_module
-        from ..codegen.loader import SpecializedCodec
-
-        def factory(graph: FormatGraph) -> SpecializedCodec:
-            return SpecializedCodec(graph, module=cached_module(graph, specialize=True))
-
-        return factory
 
     def encode(self, serializer: Serializer, message: Message):
         """Serialize one message, returning ``(payload, spans-or-None)``."""
@@ -662,9 +644,7 @@ class ObfuscatedServer:
                                plan=endpoint.request_plan,
                                key_resolver=key_resolver,
                                resync=self.resync,
-                               budget=self.budget,
-                               parser_factory=endpoint.parser_factory(
-                                   endpoint.request_framing))
+                               budget=self.budget)
         stats = SessionStats(session)
         load = (self.governor.register(session)
                 if self.governor is not None else None)
@@ -925,9 +905,7 @@ class ObfuscatedClient:
                                endpoint.response_framing,
                                plan=endpoint.response_plan,
                                resync=self.resync,
-                               budget=self.budget,
-                               parser_factory=endpoint.parser_factory(
-                                   endpoint.response_framing))
+                               budget=self.budget)
         self._pump = _MessagePump(reader, decoder, budget=self.budget,
                                   stats=self.stats)
         return self

@@ -38,12 +38,20 @@ from repro.net import (
     encode_record,
     memory_pipe,
 )
-from repro.net.framing import BUSY_SENTINEL, frame_payload
+from repro.net.framing import (
+    BUSY_SENTINEL,
+    CorruptRecord,
+    RotationEvent,
+    encode_rotation,
+    frame_payload,
+)
 from repro.net.session import _MessagePump
 from repro.protocols import registry
 from repro.spec import parse_spec
+from repro.transforms.engine import Obfuscator
+from repro.wire import WireCodec
 from repro.wire.serializer import Serializer
-from repro.wire.streaming import StreamingDecoder, is_self_framing
+from repro.wire.streaming import DecodedMessage, StreamingDecoder, is_self_framing
 
 
 def run(coroutine):
@@ -171,6 +179,71 @@ class TestRecordDecoderBudgets:
         # Saturating encoding: the hint caps at the 16-bit millisecond field.
         events = decoder.feed(encode_busy(120.0))
         assert events == [BusyEvent(retry_after=65.535)]
+
+
+def arbitrary_record_stream(codec: WireCodec, generator, rng: Random) -> bytes:
+    """Arbitrary bytes shaped enough to reach every stage of record decoding.
+
+    Whole records (some bit-flipped), random payloads in plausible envelopes,
+    rotation records to a held and an unknown key, busy records and raw
+    noise, whose random headers mostly declare implausible sizes.
+    """
+    def noise(size: int) -> bytes:
+        return bytes(rng.randrange(256) for _ in range(size))
+
+    pieces = []
+    for _ in range(10):
+        roll = rng.random()
+        if roll < 0.35:
+            wire = bytearray(codec.serialize(generator(rng)))
+            if rng.random() < 0.5:
+                wire[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
+            pieces.append(encode_record(bytes(wire)))
+        elif roll < 0.7:
+            pieces.append(encode_record(noise(rng.randrange(48))))
+        elif roll < 0.8:
+            pieces.append(encode_rotation(rng.choice(("held", "unknown"))))
+        elif roll < 0.9:
+            pieces.append(encode_busy(rng.random()))
+        else:
+            pieces.append(noise(rng.randrange(1, 12)))
+    return b"".join(pieces)
+
+
+@pytest.mark.parametrize("passes", [0, 1, 2, 3, 4])
+def test_record_decoder_is_total_on_arbitrary_bytes(protocol_case, passes):
+    """Arbitrary bytes in random chunks yield only typed events or errors.
+
+    Under the default and the strict budget, with and without resync, the
+    decoder emits only its four event types or raises a ``StreamError``
+    subclass (never a raw exception), and never buffers past
+    ``max_stream_bytes``.
+    """
+    name, graph_factory, generator = protocol_case
+    graph = graph_factory()
+    if passes:
+        graph = Obfuscator(seed=900 + passes).obfuscate(graph, passes).graph
+    codec = WireCodec(graph, seed=2)
+    rng = Random(f"totality-{name}-{passes}")
+    resolver = {"held": graph}.__getitem__
+    events = (DecodedMessage, CorruptRecord, RotationEvent, BusyEvent)
+    for budget in (ResourceBudget(), ResourceBudget.strict()):
+        for trial in range(6):
+            stream = arbitrary_record_stream(codec, generator, rng)
+            decoder = RecordDecoder(graph, key_resolver=resolver,
+                                    resync=bool(trial % 2), budget=budget)
+            cursor = 0
+            try:
+                while cursor < len(stream):
+                    size = rng.randrange(1, 64)
+                    fed = decoder.feed(stream[cursor:cursor + size])
+                    cursor += size
+                    assert all(isinstance(event, events) for event in fed)
+                    assert decoder.buffered <= budget.max_stream_bytes
+                assert all(isinstance(event, events)
+                           for event in decoder.feed_eof())
+            except StreamError:
+                pass
 
 
 class TestStreamingDecoderBudgets:

@@ -16,18 +16,24 @@ from random import Random
 
 import pytest
 
+from repro.codegen.cache import cached_module
 from repro.core.errors import ParseError, StreamError
 from repro.net.framing import (
+    CorruptRecord,
     RecordDecoder,
+    RotationEvent,
     encode_record,
+    encode_rotation,
     make_decoder,
     resolve_framing,
 )
+from repro.net.rotation import derive_session_key
 from repro.protocols import registry
 from repro.spec import parse_spec
 from repro.transforms.engine import Obfuscator
 from repro.wire import Parser, WireCodec, Window, parse
 from repro.wire.streaming import (
+    DecodedMessage,
     StreamingDecoder,
     decode_stream,
     is_self_framing,
@@ -382,3 +388,153 @@ def test_record_decoder_oversized_record_raises():
     decoder = RecordDecoder(graph)
     with pytest.raises(StreamError):
         decoder.feed((1 << 25).to_bytes(4, "big") + b"x" * 16)
+
+
+# ---------------------------------------------------------------------------
+# record framing through the compiled unit
+# ---------------------------------------------------------------------------
+
+
+def damaged_payloads(wire: bytes, rng: Random) -> list[bytes]:
+    """``wire`` clean, truncated, bit-flipped, and a random byte string."""
+    cut = wire[:rng.randrange(len(wire))]
+    flipped = bytearray(wire)
+    for _ in range(rng.randrange(1, 4)):
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+    noise = bytes(rng.randrange(256) for _ in range(rng.randrange(len(wire) + 8)))
+    return [wire, cut, bytes(flipped), noise]
+
+
+def describe_event(event) -> tuple:
+    """A comparable view of a record-decoder event or its terminal error."""
+    if isinstance(event, DecodedMessage):
+        return ("message", event.message, event.raw, event.start, event.end)
+    if isinstance(event, CorruptRecord):
+        return ("corrupt", event.raw, event.start, event.end,
+                *describe_event(event.error)[1:])
+    return ("error", str(event), event.offset, event.node, event.message_index)
+
+
+def reference_record_events(graph, payloads, *, resync: bool) -> list[tuple]:
+    """The events of ``payloads`` framed as records, from ``Parser.parse``."""
+    parser = Parser(graph)
+    events, offset, decoded = [], 0, 0
+    for payload in payloads:
+        start, offset = offset, offset + len(payload)
+        try:
+            message = parser.parse(payload, strict=True)
+        except ParseError as exc:
+            error = StreamError(f"undecodable record payload: {exc}",
+                                message_index=decoded)
+            error.offset, error.node = exc.offset, exc.node
+            if not resync:
+                events.append(describe_event(error))
+                break
+            events.append(describe_event(
+                CorruptRecord(raw=payload, start=start, end=offset, error=error)))
+            continue
+        events.append(("message", message, payload, start, offset))
+        decoded += 1
+    return events
+
+
+@pytest.mark.parametrize("passes", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("resync", [False, True])
+def test_record_decoder_matches_the_reference_parser(protocol_case, passes, resync):
+    """Clean and damaged records decode exactly as ``Parser.parse`` decides.
+
+    Messages, and the text, offset and node of every ``StreamError`` or
+    ``CorruptRecord``, equal those built from the reference parser, whichever
+    tier answered.  Each record is fed in random chunks of its own, so a
+    failing record's feed completes nothing else.
+    """
+    name, graph_factory, generator = protocol_case
+    graph = graph_factory()
+    if passes:
+        graph = Obfuscator(seed=700 + passes).obfuscate(graph, passes).graph
+    codec = WireCodec(graph, seed=5)
+    rng = Random(f"record-parity-{name}-{passes}")
+    payloads = [variant for _ in range(3)
+                for variant in damaged_payloads(codec.serialize(generator(rng)), rng)]
+    decoder = RecordDecoder(graph, resync=resync)
+    events = []
+    try:
+        for payload in payloads:
+            for chunk in random_chunks(encode_record(payload), rng):
+                events.extend(decoder.feed(chunk))
+        events.extend(decoder.feed_eof())
+    except StreamError as exc:
+        events.append(exc)
+    assert ([describe_event(event) for event in events]
+            == reference_record_events(graph, payloads, resync=resync))
+
+
+def record_rotation_stream(protocol: str):
+    """Two keys of ``protocol`` and a record stream switching between them.
+
+    Returns the keys, a key resolver, the stream's records under the first
+    key, the rotation control record, the records under the second key, and
+    the six messages the records carry.
+    """
+    setup = registry.get(protocol)
+    keys = [derive_session_key(protocol, passes=2, seed=seed) for seed in (40, 41)]
+    rng = Random(3)
+    records, expected = [], []
+    for index, key in enumerate(keys):
+        codec = WireCodec(key.request_graph, seed=index)
+        wires = [codec.serialize(setup.message_generator(rng)) for _ in range(3)]
+        records.append(b"".join(encode_record(wire) for wire in wires))
+        expected.extend(codec.parse(wire) for wire in wires)
+    resolver = {key.key_id: key.request_graph for key in keys}.__getitem__
+    return (*keys, resolver, records[0], encode_rotation(keys[1].key_id),
+            records[1], expected)
+
+
+def test_clean_records_decode_without_the_reference_parser(monkeypatch):
+    """Across an inbound rotation, clean records never reach Parser.parse."""
+    first, second, resolver, head, rotation, tail, expected = (
+        record_rotation_stream("http"))
+    decoder = RecordDecoder(first.request_graph, key_resolver=resolver)
+    calls = []
+    reference = Parser.parse
+
+    def counting(self, data, *, strict=True):
+        calls.append(len(data))
+        return reference(self, data, strict=strict)
+
+    monkeypatch.setattr(Parser, "parse", counting)
+    events = []
+    for chunk in random_chunks(head + rotation + tail, Random(8), max_chunk=17):
+        events.extend(decoder.feed(chunk))
+    events.extend(decoder.feed_eof())
+    assert [event.message for event in events
+            if isinstance(event, DecodedMessage)] == expected
+    assert RotationEvent(second.key_id) in events
+    assert calls == []
+
+
+def test_the_rotated_to_unit_answers(monkeypatch):
+    """After a rotation, records are parsed by the new dialect's unit."""
+    first, second, resolver, head, rotation, tail, expected = (
+        record_rotation_stream("dns"))
+    unit = cached_module(second.request_graph, parse_only=True)
+    answered = []
+    compiled = unit.parse
+
+    def counting(data, strict=True):
+        answered.append(len(data))
+        return compiled(data, strict)
+
+    monkeypatch.setattr(unit, "parse", counting)
+    # An inbound rotation control record ...
+    decoder = RecordDecoder(first.request_graph, key_resolver=resolver)
+    events = decoder.feed(head + rotation + tail) + decoder.feed_eof()
+    assert [type(event) for event in events] == [DecodedMessage] * 3 + [
+        RotationEvent] + [DecodedMessage] * 3
+    assert [event.message for event in events[4:]] == expected[3:]
+    assert len(answered) == 3
+    # ... and a local rotate_to both load the rotated-to graph's unit.
+    local = RecordDecoder(first.request_graph)
+    local.rotate_to(second.request_graph, key_id=second.key_id)
+    assert [event.message for event in local.feed(tail)] == expected[3:]
+    assert len(answered) == 6
